@@ -397,10 +397,10 @@ impl<'a> Synthesis<'a> {
                 cursor,
                 counters: tel.counters(),
             };
-            if let Err(e) = ck.save(path) {
+            if ck.save(path).is_err() {
                 // Non-fatal: losing a checkpoint must never kill the run
-                // it exists to protect.
-                eprintln!("wbist: checkpoint write failed: {e}");
+                // it exists to protect, and library code never writes to
+                // stderr — the trace event is the report.
                 tel.event("runctl.checkpoint_failed", &[]);
             }
         };

@@ -72,7 +72,7 @@
 //! available cores).
 
 use crate::compiled::{
-    self, BatchStats, CompiledCircuit, ConeScratch, CycleCtx, GoodTrace, MaskBuf,
+    self, BatchStats, CompiledCircuit, CycleCtx, DirtyScratch, GoodTrace, MaskBuf,
 };
 use crate::error::SimError;
 use crate::logic::Logic3;
@@ -456,12 +456,12 @@ fn debug_fault_ff<W: Word>(l: &Lanes<W>, global: usize) -> Option<Vec<Logic3>> {
     None
 }
 
-/// Per-worker scratch: one net-plane buffer plus the cone bookkeeping,
+/// Per-worker scratch: one net-plane buffer plus the dirty-set bookkeeping,
 /// allocated once per worker and reused across every batch and cycle it
 /// processes.
 struct Scratch<W> {
     nets: Vec<Planes<W>>,
-    cone: ConeScratch<W>,
+    dirty: DirtyScratch,
     /// Per-cycle effective injection masks, used only by batches whose
     /// schedule carries conditional (transition-delay) injections.
     buf: MaskBuf<W>,
@@ -471,7 +471,7 @@ impl<W: Word> Scratch<W> {
     fn new(cc: &CompiledCircuit) -> Scratch<W> {
         Scratch {
             nets: vec![Planes::ALL_X; cc.num_nets],
-            cone: ConeScratch::new(cc),
+            dirty: DirtyScratch::new(cc),
             buf: MaskBuf::new(),
         }
     }
@@ -765,7 +765,7 @@ impl<'c> FaultSim<'c> {
                 prev0,
                 ff,
                 &mut scratch.nets,
-                &mut scratch.cone,
+                &mut scratch.dirty,
                 &mut scratch.buf,
                 resume,
                 snap,
@@ -778,9 +778,12 @@ impl<'c> FaultSim<'c> {
     /// with the configured kernel choice; if it panics, the panic is
     /// caught, `sim.batch_panics` is recorded, the (possibly mid-cycle)
     /// scratch is rebuilt, and the batch is retried once on the
-    /// reference kernel. `attempt` must own all its side effects —
-    /// results only escape through its return value — so a panicked
-    /// attempt leaves no partial state behind.
+    /// reference kernel. A `sim.batch_retried` event names the batch;
+    /// with several panics on several workers the events' order follows
+    /// scheduling, which only failure drills ever see. `attempt` must
+    /// own all its side effects — results only escape through its
+    /// return value — so a panicked attempt leaves no partial state
+    /// behind.
     ///
     /// A second panic (or a panic when the reference kernel was already
     /// the primary) re-raises as a [`SimError::BatchPanicked`]-formatted
@@ -805,7 +808,8 @@ impl<'c> FaultSim<'c> {
                 if reference {
                     panic!("{err}; no fallback kernel left");
                 }
-                eprintln!("wbist-sim: {err}; retrying on the reference kernel");
+                self.telemetry
+                    .event("sim.batch_retried", &[("batch", batch_index as u64)]);
                 match catch_unwind(AssertUnwindSafe(|| attempt(true, &mut *scratch))) {
                     Ok(r) => r,
                     Err(retry) => panic!(
@@ -1414,9 +1418,9 @@ impl<'c> FaultSim<'c> {
         let per_batch: Vec<BatchLines> = self.scatter(jobs, |(bi, batch), scratch| {
             self.run_isolated(bi, scratch, |reference, scratch| {
                 let mut ff = vec![Planes::ALL_X; num_dffs];
-                // Accumulated difference mask per net. Only nets inside
-                // the batch's cone can ever differ from the good
-                // machine, so the sink visits just those.
+                // Accumulated difference mask per net. Only dirty nets
+                // can differ from the good machine, so the sink visits
+                // just those.
                 let mut acc = vec![W::ZERO; num_nets];
                 let (_, stats) = self.run_one(
                     reference,
@@ -1430,7 +1434,7 @@ impl<'c> FaultSim<'c> {
                     None,
                     None,
                     |_, ctx: &CycleCtx<W>| {
-                        for &n in ctx.cone_nets {
+                        for &n in ctx.dirty_nets {
                             acc[n as usize] |= ctx.nets[n as usize].diff_from_good();
                         }
                         (W::ZERO, false)

@@ -138,7 +138,7 @@ impl<'c> LogicSim<'c> {
 /// Evaluates one clock cycle: drives PIs with `row`, evaluates the
 /// combinational core into `nets`, then advances `state` to the next
 /// flip-flop state.
-fn step(c: &Circuit, row: &[bool], state: &mut [Logic3], nets: &mut [Logic3]) {
+pub(crate) fn step(c: &Circuit, row: &[bool], state: &mut [Logic3], nets: &mut [Logic3]) {
     // Sources.
     for (pi_idx, &net) in c.inputs().iter().enumerate() {
         nets[net.index()] = row[pi_idx].into();

@@ -18,7 +18,8 @@ use wbist::telemetry::failpoint;
 
 /// A forced panic in the compiled batch kernel is caught, retried on
 /// the reference kernel, and the run completes with correct detections
-/// — the process never aborts.
+/// — the process never aborts, and the retry is reported as a trace
+/// event rather than on stderr.
 #[test]
 fn batch_kernel_panic_recovers_via_reference_retry() {
     let _guard = serialized();
@@ -44,6 +45,10 @@ fn batch_kernel_panic_recovers_via_reference_retry() {
     assert!(
         tel.counter("sim.batch_panics") >= 1,
         "the forced panic must be recorded"
+    );
+    assert!(
+        tel.render_trace().contains("\"sim.batch_retried\""),
+        "the retry must be reported as a telemetry event"
     );
 }
 
@@ -74,7 +79,8 @@ fn repeated_batch_panics_still_complete() {
 }
 
 /// A forced checkpoint-write failure is non-fatal: the synthesis run
-/// carries on to completion and reports the failure as telemetry.
+/// carries on to completion and reports the failure as a telemetry
+/// event.
 #[test]
 fn checkpoint_write_failure_does_not_kill_the_run() {
     let _guard = serialized();
@@ -84,10 +90,11 @@ fn checkpoint_write_failure_does_not_kill_the_run() {
     let path = scratch_dir("failpoint-ckpt").join("forced-failure.ckpt");
 
     failpoint::arm("core.checkpoint_write", 1);
+    let tel = Telemetry::enabled();
     let outcome = Synthesis::new(&c, &t, &faults)
         .config(SynthesisConfig {
             sequence_length: 100,
-            run: RunOptions::default().telemetry(Telemetry::enabled()),
+            run: RunOptions::default().telemetry(tel.clone()),
             ..SynthesisConfig::default()
         })
         .run_controlled(&RunControl::default().checkpoint(&path));
@@ -96,6 +103,7 @@ fn checkpoint_write_failure_does_not_kill_the_run() {
     assert!(!outcome.is_truncated());
     let result = outcome.into_result();
     assert!(result.coverage_guaranteed());
+    assert!(tel.render_trace().contains("\"runctl.checkpoint_failed\""));
     std::fs::remove_file(&path).ok();
 }
 
