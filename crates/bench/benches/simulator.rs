@@ -61,10 +61,9 @@ fn bench_threads(c: &mut Criterion) {
     }
 }
 
-fn bench_engines(c: &mut Criterion) {
-    // Levelized vs event-driven good-machine simulation, on a
-    // low-activity stimulus (constant-heavy weighted sequences are the
-    // event-driven engine's home turf).
+fn bench_good_sim(c: &mut Criterion) {
+    // Levelized good-machine simulation on a low-activity stimulus
+    // (constant-heavy, like the weighted sequences selection generates).
     let circuit = synthetic::by_name("s526").expect("known circuit");
     let n = circuit.num_inputs();
     let mut rows = Vec::new();
@@ -78,10 +77,6 @@ fn bench_engines(c: &mut Criterion) {
         let sim = wbist_sim::LogicSim::new(&circuit);
         b.iter(|| sim.outputs(&seq).expect("width matches"));
     });
-    group.bench_function("event_driven", |b| {
-        let sim = wbist_sim::EventSim::new(&circuit);
-        b.iter(|| sim.outputs(&seq).expect("width matches"));
-    });
     group.finish();
 }
 
@@ -90,6 +85,6 @@ criterion_group!(
     bench_fault_sim,
     bench_detection_times,
     bench_threads,
-    bench_engines
+    bench_good_sim
 );
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Selection-loop synthesis benchmark: wall-clock and candidates per
-//! second across speculation widths, emitted as JSON for
+//! second of the §4.2 walk, emitted as JSON for
 //! `scripts/bench_select.sh`.
 //!
 //! ```text
@@ -12,11 +12,7 @@
 //!   --lg N             generated-sequence length L_G (default 64)
 //!   --keep-every N     keep every N-th fault as a synthesis target and
 //!                      mark the rest already detected (default per
-//!                      circuit: s1196 5, s5378 60, s35932 600)
-//!   --widths a,b,c     speculation wavefront widths to measure (default
-//!                      1,4,8; collapses to 1 on single-core hosts)
-//!   --width-sweep      measure the speculative rows even when the host
-//!                      has a single core
+//!                      circuit: s1196 5, s5378 60, s35932 10)
 //!   --threads N        simulation worker threads (default all cores)
 //!   --word-width W     fault-plane word width: 64 (default), 128 or 256
 //!                      (256 needs the `w256` build feature). The walk
@@ -30,33 +26,20 @@
 //!                      only) and exit non-zero on any deviation
 //!   --no-prefix-cache  disable the prefix-trace cache (the results must
 //!                      be bit-identical either way; CI asserts it)
-//!   --no-cone-seeding  disable cone-seeded good-trace resume; resumed
-//!                      rebuilds re-evaluate every suffix gate (results
-//!                      are bit-identical either way; CI asserts it)
 //!   -o FILE            write the JSON there instead of stdout
 //!
 //! exit codes: 0 complete, 1 usage error, I/O failure or golden mismatch
 //! ```
 //!
-//! Every row must agree with the width-1 row of the same circuit on Ω,
-//! detection flags and the deterministic counters — speculation is a
-//! wall-clock optimization only — and the benchmark enforces that
-//! invariant on every run, not just under `--golden`. `candidates_per_sec`
-//! divides the deterministic `select.candidates_tried` counter by the
-//! wall clock; `prefix_hits`/`cycles_skipped` report the prefix-trace
-//! cache's reuse, and the speculation launch/waste figures come from the
-//! same width-dependent effort space. `cone_seeded`,
-//! `trace_gates_evaluated` and `gates_rescanned_saved` report the
-//! cone-seeded good-trace rebuilds (how many resumed evaluations were
-//! spatially incremental, the suffix gates they evaluated, and the
-//! gates a full per-cycle rescan would have added); `snapshot_spills`
-//! and `snapshot_bytes` count compressed faulty-plane snapshots on
-//! dense queries past the raw capture cap, and
+//! One row per circuit. `candidates_per_sec` divides the deterministic
+//! `select.candidates_tried` counter by the wall clock;
+//! `prefix_hits`/`cycles_skipped` report the prefix-trace cache's reuse
+//! and `trace_gates_evaluated` the good-machine gates its resumed
+//! rebuilds rescanned (every gate of every suffix cycle);
+//! `snapshot_spills` and `snapshot_bytes` count compressed faulty-plane
+//! snapshots on dense queries past the raw capture cap, and
 //! `snapshot_capture_denied` counts dense evaluations past even the
 //! spill cap (deterministic, unlike the effort figures).
-//! `speedup_vs_width_1` is null when
-//! `--threads` oversubscribes the host (`threads > available_cores`):
-//! the width-1 baseline then measures contention, not work.
 
 use std::time::Instant;
 use wbist_atpg::Lfsr;
@@ -77,8 +60,8 @@ const DEFAULT_KEEP_EVERY: &[(&str, usize)] = &[("s1196", 5), ("s5378", 60), ("s3
 
 /// Golden Ω sizes and detected-target counts at the default
 /// configuration (`--t-len 48 --lg 64`, default `--keep-every`). The
-/// walk is bit-identical at every speculation width and worker count,
-/// so one committed value per circuit pins them all; `--golden` turns a
+/// walk is bit-identical at every worker count and word width, so one
+/// committed value per circuit pins them all; `--golden` turns a
 /// deviation into a non-zero exit for CI.
 const GOLDEN_DEFAULT_CONFIG: &[(FaultModel, &str, u64, u64)] = &[
     // (fault model, circuit, omega_len, targets_detected)
@@ -88,9 +71,20 @@ const GOLDEN_DEFAULT_CONFIG: &[(FaultModel, &str, u64, u64)] = &[
     (FaultModel::TransitionDelay, "s5378", 24, 56),
 ];
 
-/// A run's identity-relevant products: the synthesis result, the
-/// deterministic counter snapshot, and the wall-clock seconds.
-type Baseline = (SynthesisResult, Vec<(String, u64)>, f64);
+/// Options that take a value, and boolean flags; anything else on the
+/// command line is a usage error.
+const OPTIONS: &[&str] = &[
+    "--circuits",
+    "--t-len",
+    "--lg",
+    "--keep-every",
+    "--threads",
+    "--word-width",
+    "--fault-model",
+    "--reps",
+    "-o",
+];
+const FLAGS: &[&str] = &["--golden", "--no-prefix-cache"];
 
 fn parse_list(s: &str) -> Vec<String> {
     s.split(',')
@@ -102,6 +96,15 @@ fn parse_list(s: &str) -> Vec<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if OPTIONS.contains(&a.as_str()) {
+            it.next();
+        } else if !FLAGS.contains(&a.as_str()) {
+            eprintln!("synth_bench: unknown argument `{a}`");
+            std::process::exit(1);
+        }
+    }
     // Last occurrence wins so callers (scripts/bench_select.sh) can
     // supply defaults ahead of user arguments.
     let opt = |key: &str| -> Option<String> {
@@ -133,7 +136,6 @@ fn main() {
     };
     let golden = flag("--golden");
     let no_prefix_cache = flag("--no-prefix-cache");
-    let no_cone_seeding = flag("--no-cone-seeding");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -151,27 +153,6 @@ fn main() {
             }
         },
     };
-    // On a single core the speculative rows only measure scheduling
-    // overhead — the wavefront evaluates inline — so the default sweep
-    // collapses to the width-1 baseline unless --width-sweep insists
-    // (mirroring sim_bench's --thread-sweep). The collapsed widths are
-    // not silently dropped: each emits an explicit `skipped_reason` row.
-    let (widths, skipped_widths): (Vec<usize>, Vec<usize>) = match opt("--widths") {
-        Some(s) => (
-            parse_list(&s)
-                .iter()
-                .filter_map(|w| w.parse().ok())
-                .filter(|&w| w >= 1)
-                .collect(),
-            Vec::new(),
-        ),
-        None if cores == 1 && !flag("--width-sweep") => (vec![1], vec![4, 8]),
-        None => (vec![1, 4, 8], Vec::new()),
-    };
-    if widths.is_empty() {
-        eprintln!("--widths needs at least one positive integer");
-        std::process::exit(1);
-    }
     let default_config = t_len == 48 && lg == 64 && keep_override.is_none();
     if golden && !default_config {
         eprintln!(
@@ -181,7 +162,6 @@ fn main() {
     }
 
     let mut golden_failures = 0usize;
-    let mut identity_failures = 0usize;
     let mut rows = Vec::new();
     for name in &circuits {
         let Some(circuit) = synthetic::by_name(name) else {
@@ -201,157 +181,88 @@ fn main() {
         let pre: Vec<bool> = (0..faults.len()).map(|i| i % keep_every != 0).collect();
         let targets = pre.iter().filter(|&&d| !d).count();
 
-        let run_at = |width: usize| -> (SynthesisResult, Telemetry, f64) {
-            let mut best: Option<(SynthesisResult, Telemetry, f64)> = None;
-            for _ in 0..reps {
-                let tel = Telemetry::enabled();
-                let mut run = RunOptions::with_threads(threads).telemetry(tel.clone());
-                run.sim.word_width = word_width;
-                run.sim.no_cone_seeding = no_cone_seeding;
-                let cfg = SynthesisConfig {
-                    sequence_length: lg,
-                    speculation: width,
-                    prefix_cache: !no_prefix_cache,
-                    run,
-                    ..SynthesisConfig::default()
-                };
-                let start = Instant::now();
-                let result = Synthesis::new(&circuit, &seq, &faults)
-                    .config(cfg)
-                    .already_detected(&pre)
-                    .run();
-                let secs = start.elapsed().as_secs_f64();
-                if best.as_ref().is_none_or(|(_, _, b)| secs < *b) {
-                    best = Some((result, tel, secs));
-                }
+        let mut best: Option<(SynthesisResult, Telemetry, f64)> = None;
+        for _ in 0..reps {
+            let tel = Telemetry::enabled();
+            let mut run = RunOptions::with_threads(threads).telemetry(tel.clone());
+            run.sim.word_width = word_width;
+            let cfg = SynthesisConfig {
+                sequence_length: lg,
+                prefix_cache: !no_prefix_cache,
+                run,
+                ..SynthesisConfig::default()
+            };
+            let start = Instant::now();
+            let result = Synthesis::new(&circuit, &seq, &faults)
+                .config(cfg)
+                .already_detected(&pre)
+                .run();
+            let secs = start.elapsed().as_secs_f64();
+            if best.as_ref().is_none_or(|(_, _, b)| secs < *b) {
+                best = Some((result, tel, secs));
             }
-            best.expect("reps >= 1")
-        };
-
-        let mut baseline: Option<Baseline> = None;
-        for &width in &widths {
-            let (result, tel, secs) = run_at(width);
-            let counters = tel.counters();
-            let (base_result, base_counters, base_secs) = baseline.get_or_insert_with(|| {
-                if width == 1 {
-                    (result.clone(), counters.clone(), secs)
-                } else {
-                    // The sweep starts above width 1: take a dedicated
-                    // sequential run as the identity reference.
-                    let (r, t, s) = run_at(1);
-                    (r, t.counters(), s)
-                }
-            });
-            // Bit-identity is the whole contract — check it on every
-            // run, golden or not.
-            if result.omega != base_result.omega
-                || result.detected != base_result.detected
-                || result.abandoned != base_result.abandoned
-                || counters != *base_counters
-            {
-                eprintln!(
-                    "IDENTITY MISMATCH: {name} width {width} deviates from the sequential walk"
-                );
-                identity_failures += 1;
-            }
-            let tried = tel.counter("select.candidates_tried");
-            let prefix_hits = tel.effort("select.prefix_hits");
-            let cycles_skipped = tel.effort("select.cycles_skipped");
-            let launched = tel.effort("select.speculation_launched");
-            let wasted = tel.effort("select.speculation_wasted");
-            let cone_seeded = tel.effort("select.cone_seeded");
-            let trace_gates_evaluated = tel.effort("select.trace_gates_evaluated");
-            let gates_rescanned_saved = tel.effort("select.gates_rescanned_saved");
-            let snapshot_spills = tel.effort("select.snapshot_spills");
-            let snapshot_bytes = tel.effort("select.snapshot_bytes");
-            let capture_denied = tel.counter("select.snapshot_capture_denied");
-            let detected_targets = result
-                .detected
-                .iter()
-                .zip(&pre)
-                .filter(|&(&d, &p)| d && !p)
-                .count() as u64;
-            eprintln!(
-                "{name}: {targets} {} targets, width {width}, {threads} thread(s): {:.2} s ({:.2}x, {:.1} candidates/s, {tried} tried, {prefix_hits} prefix hits skipping {cycles_skipped} cycles, {wasted}/{launched} speculative evals wasted)",
+        }
+        let (result, tel, secs) = best.expect("reps >= 1");
+        let tried = tel.counter("select.candidates_tried");
+        let prefix_hits = tel.effort("select.prefix_hits");
+        let cycles_skipped = tel.effort("select.cycles_skipped");
+        let trace_gates_evaluated = tel.effort("select.trace_gates_evaluated");
+        let snapshot_spills = tel.effort("select.snapshot_spills");
+        let snapshot_bytes = tel.effort("select.snapshot_bytes");
+        let capture_denied = tel.counter("select.snapshot_capture_denied");
+        let detected_targets = result
+            .detected
+            .iter()
+            .zip(&pre)
+            .filter(|&(&d, &p)| d && !p)
+            .count() as u64;
+        eprintln!(
+                "{name}: {targets} {} targets, {threads} thread(s): {:.2} s ({:.1} candidates/s, {tried} tried, {prefix_hits} prefix hits skipping {cycles_skipped} cycles)",
                 model.name(),
                 secs,
-                *base_secs / secs,
                 tried as f64 / secs,
             );
-            if golden {
-                if let Some(&(_, _, want_omega, want_detected)) = GOLDEN_DEFAULT_CONFIG
-                    .iter()
-                    .find(|&&(m, n, _, _)| m == model && n == name)
-                {
-                    if (result.omega.len() as u64, detected_targets) != (want_omega, want_detected)
-                    {
-                        eprintln!(
-                            "GOLDEN MISMATCH: {name} width {width}: Ω size {} / {detected_targets} detected, committed values are {want_omega} / {want_detected}",
+        if golden {
+            if let Some(&(_, _, want_omega, want_detected)) = GOLDEN_DEFAULT_CONFIG
+                .iter()
+                .find(|&&(m, n, _, _)| m == model && n == name)
+            {
+                if (result.omega.len() as u64, detected_targets) != (want_omega, want_detected) {
+                    eprintln!(
+                            "GOLDEN MISMATCH: {name}: Ω size {} / {detected_targets} detected, committed values are {want_omega} / {want_detected}",
                             result.omega.len()
                         );
-                        golden_failures += 1;
-                    }
+                    golden_failures += 1;
                 }
             }
-            rows.push(Json::obj(vec![
-                ("circuit", name.as_str().into()),
-                ("fault_model", model.name().into()),
-                ("faults", faults.len().into()),
-                ("targets", targets.into()),
-                ("t_len", t_len.into()),
-                ("sequence_length", lg.into()),
-                ("threads", threads.into()),
-                ("word_width", u64::from(word_width.bits()).into()),
-                ("speculation", width.into()),
-                ("seconds", secs.into()),
-                ("candidates_tried", tried.into()),
-                ("candidates_per_sec", (tried as f64 / secs).into()),
-                ("prefix_cache", (!no_prefix_cache).into()),
-                ("prefix_hits", prefix_hits.into()),
-                ("cycles_skipped", cycles_skipped.into()),
-                ("cone_seeding", (!no_cone_seeding).into()),
-                ("cone_seeded", cone_seeded.into()),
-                ("trace_gates_evaluated", trace_gates_evaluated.into()),
-                ("gates_rescanned_saved", gates_rescanned_saved.into()),
-                ("snapshot_spills", snapshot_spills.into()),
-                ("snapshot_bytes", snapshot_bytes.into()),
-                ("snapshot_capture_denied", capture_denied.into()),
-                ("speculation_launched", launched.into()),
-                ("speculation_wasted", wasted.into()),
-                ("omega_len", result.omega.len().into()),
-                ("targets_detected", detected_targets.into()),
-                (
-                    "coverage",
-                    (detected_targets as f64 / targets.max(1) as f64).into(),
-                ),
-                ("available_cores", cores.into()),
-                (
-                    // An oversubscribed host (threads > cores) measures
-                    // scheduler contention, not speculation: suppress
-                    // the figure rather than publish a misleading one.
-                    "speedup_vs_width_1",
-                    if threads > cores {
-                        Json::Null
-                    } else {
-                        (*base_secs / secs).into()
-                    },
-                ),
-            ]));
         }
-        for &width in &skipped_widths {
-            rows.push(Json::obj(vec![
-                ("circuit", name.as_str().into()),
-                ("speculation", width.into()),
-                ("word_width", u64::from(word_width.bits()).into()),
-                ("available_cores", cores.into()),
-                (
-                    "skipped_reason",
-                    "single-core host: speculative rows evaluate inline and measure \
-                     scheduling overhead, not speculation (pass --width-sweep to force)"
-                        .into(),
-                ),
-            ]));
-        }
+        rows.push(Json::obj(vec![
+            ("circuit", name.as_str().into()),
+            ("fault_model", model.name().into()),
+            ("faults", faults.len().into()),
+            ("targets", targets.into()),
+            ("t_len", t_len.into()),
+            ("sequence_length", lg.into()),
+            ("threads", threads.into()),
+            ("word_width", u64::from(word_width.bits()).into()),
+            ("seconds", secs.into()),
+            ("candidates_tried", tried.into()),
+            ("candidates_per_sec", (tried as f64 / secs).into()),
+            ("prefix_cache", (!no_prefix_cache).into()),
+            ("prefix_hits", prefix_hits.into()),
+            ("cycles_skipped", cycles_skipped.into()),
+            ("trace_gates_evaluated", trace_gates_evaluated.into()),
+            ("snapshot_spills", snapshot_spills.into()),
+            ("snapshot_bytes", snapshot_bytes.into()),
+            ("snapshot_capture_denied", capture_denied.into()),
+            ("omega_len", result.omega.len().into()),
+            ("targets_detected", detected_targets.into()),
+            (
+                "coverage",
+                (detected_targets as f64 / targets.max(1) as f64).into(),
+            ),
+            ("available_cores", cores.into()),
+        ]));
     }
 
     let doc = Json::obj(vec![
@@ -370,10 +281,6 @@ fn main() {
             eprintln!("wrote {path}");
         }
         None => println!("{text}"),
-    }
-    if identity_failures > 0 {
-        eprintln!("{identity_failures} bit-identity violation(s) across speculation widths");
-        std::process::exit(1);
     }
     if golden_failures > 0 {
         eprintln!("{golden_failures} golden synthesis mismatch(es)");

@@ -42,11 +42,6 @@ impl Parsed {
         self.positional.get(i).map(String::as_str)
     }
 
-    /// Number of positional arguments.
-    pub fn num_pos(&self) -> usize {
-        self.positional.len()
-    }
-
     /// Whether a boolean flag is present.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -102,7 +97,7 @@ mod tests {
         assert_eq!(p.opt("lg"), Some("500"));
         assert_eq!(p.opt_parse::<usize>("lg").unwrap(), Some(500));
         assert_eq!(p.opt("o"), Some("x.txt"));
-        assert_eq!(p.num_pos(), 1);
+        assert_eq!(p.pos(1), None);
     }
 
     #[test]

@@ -45,15 +45,11 @@ pub const USAGE: &str = "usage:
       --word-width W  fault-plane word width: 64 (default) | 128 | 256
                       (256 needs the `w256` build feature); detections
                       are bit-identical at every width
-      --no-cone-seeding  disable cone-seeded good-trace resume (results
-                      are bit-identical; for identity diffs and timing)
   fault selection (faults, atpg, sim, synth, obs, session, podem):
       --model M       fault universe: checkpoints (default) | collapsed | all
       --fault-model F fault model: stuck-at (default) | transition
                       (podem is stuck-at only)
       --kernel K      fault-sim kernel: compiled (default) | reference
-      --speculation K synth candidate wavefront width (default 1);
-                      results are bit-identical at every width
       --trace FILE    write a deterministic JSON telemetry trace
       --progress      print a phase-timing summary to stderr
   run control (budgets apply to any command; checkpoints to synth):
@@ -123,8 +119,6 @@ pub struct Globals {
     pub checkpoint: Option<String>,
     /// `--resume FILE`: continue a truncated synth run (synth only).
     pub resume: Option<String>,
-    /// `--speculation K`: synthesis candidate wavefront width.
-    pub speculation: usize,
 }
 
 /// Strips the global options (`--threads N`, `--trace FILE`,
@@ -135,13 +129,11 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
     let mut threads: Option<usize> = None;
     let mut word_width = WordWidth::default();
     let mut reference_kernel = false;
-    let mut no_cone_seeding = false;
     let mut trace: Option<String> = None;
     let mut progress = false;
     let mut budget = Budget::default();
     let mut checkpoint: Option<String> = None;
     let mut resume: Option<String> = None;
-    let mut speculation: usize = 1;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -161,7 +153,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
                     .ok_or_else(|| usage("--word-width needs a value"))?;
                 word_width = WordWidth::parse(v).map_err(usage)?;
             }
-            "--no-cone-seeding" => no_cone_seeding = true,
             "--kernel" => {
                 let v = it.next().ok_or_else(|| usage("--kernel needs a value"))?;
                 reference_kernel = match v.as_str() {
@@ -222,18 +213,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
                 let v = it.next().ok_or_else(|| usage("--resume needs a path"))?;
                 resume = Some(v.clone());
             }
-            "--speculation" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--speculation needs a value"))?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| usage(format!("--speculation: cannot parse `{v}`")))?;
-                if n == 0 {
-                    return Err(usage("--speculation must be at least 1"));
-                }
-                speculation = n;
-            }
             _ => rest.push(a.clone()),
         }
     }
@@ -253,7 +232,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
             threads,
             word_width,
             reference_kernel,
-            no_cone_seeding,
         },
         ..run
     };
@@ -265,7 +243,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
             progress,
             checkpoint,
             resume,
-            speculation,
         },
     ))
 }
@@ -321,6 +298,28 @@ pub fn dispatch(argv: &[String]) -> Result<CmdStatus, CliError> {
     }
 }
 
+/// Parses a command's own arguments strictly: `value_keys` take a
+/// value, `flags` are the boolean switches the command knows, and at
+/// most `max_pos` positional arguments are accepted. Anything else is a
+/// usage error, so a misspelled or retired option is refused rather
+/// than silently ignored.
+fn parse_cmd(
+    cmd: &str,
+    argv: &[String],
+    value_keys: &[&str],
+    flags: &[&str],
+    max_pos: usize,
+) -> Result<Parsed, CliError> {
+    let p = parse(argv, value_keys).map_err(usage)?;
+    if let Some(f) = p.unknown_flag(flags) {
+        return Err(usage(format!("{cmd}: unknown option `--{f}`")));
+    }
+    if let Some(extra) = p.pos(max_pos) {
+        return Err(usage(format!("{cmd}: unexpected argument `{extra}`")));
+    }
+    Ok(p)
+}
+
 fn load_circuit(path: &str) -> Result<Circuit, CliError> {
     let text = std::fs::read_to_string(path)?;
     let name = std::path::Path::new(path)
@@ -337,10 +336,7 @@ fn load_sequence(path: &str) -> Result<TestSequence, CliError> {
 }
 
 fn cmd_stats(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &[]).map_err(usage)?;
-    if p.num_pos() > 1 {
-        return Err(usage("stats takes exactly one .bench file"));
-    }
+    let p = parse_cmd("stats", argv, &[], &[], 1)?;
     let path = p.pos(0).ok_or_else(|| usage("stats needs a .bench file"))?;
     let c = load_circuit(path)?;
     println!("circuit {}", c.name());
@@ -380,7 +376,7 @@ fn fault_list(
 }
 
 fn cmd_faults(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["model", "fault-model"]).map_err(usage)?;
+    let p = parse_cmd("faults", argv, &["model", "fault-model"], &[], 1)?;
     let path = p
         .pos(0)
         .ok_or_else(|| usage("faults needs a .bench file"))?;
@@ -394,7 +390,13 @@ fn cmd_faults(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_atpg(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["seed", "max-len", "o", "model", "fault-model"]).map_err(usage)?;
+    let p = parse_cmd(
+        "atpg",
+        argv,
+        &["seed", "max-len", "o", "model", "fault-model"],
+        &["no-compact"],
+        1,
+    )?;
     let path = p.pos(0).ok_or_else(|| usage("atpg needs a .bench file"))?;
     let c = load_circuit(path)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
@@ -426,7 +428,7 @@ fn cmd_atpg(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_sim(argv: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse(argv, &["model", "fault-model"]).map_err(usage)?;
+    let p = parse_cmd("sim", argv, &["model", "fault-model"], &["times"], 2)?;
     let (path, seq_path) = match (p.pos(0), p.pos(1)) {
         (Some(a), Some(b)) => (a, b),
         _ => return Err(usage("sim needs a .bench file and a sequence file")),
@@ -458,7 +460,8 @@ fn cmd_sim(argv: &[String], g: &Globals) -> Result<(), CliError> {
 }
 
 fn cmd_synth(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
-    let p = parse(
+    let p = parse_cmd(
+        "synth",
         argv,
         &[
             "seq",
@@ -470,8 +473,9 @@ fn cmd_synth(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
             "fault-model",
             "seed",
         ],
-    )
-    .map_err(usage)?;
+        &[],
+        1,
+    )?;
     let path = p.pos(0).ok_or_else(|| usage("synth needs a .bench file"))?;
     let c = load_circuit(path)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
@@ -502,7 +506,6 @@ fn cmd_synth(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
     let random_sessions = p.opt_parse::<usize>("random").map_err(usage)?.unwrap_or(0);
     let syn_cfg = SynthesisConfig {
         sequence_length: l_g,
-        speculation: g.speculation,
         run: g.run.clone(),
         ..SynthesisConfig::default()
     };
@@ -641,7 +644,7 @@ fn sequence_for(c: &Circuit, faults: &FaultList, p: &Parsed) -> Result<TestSeque
 }
 
 fn cmd_obs(argv: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse(argv, &["seq", "lg", "model", "fault-model"]).map_err(usage)?;
+    let p = parse_cmd("obs", argv, &["seq", "lg", "model", "fault-model"], &[], 1)?;
     let path = p.pos(0).ok_or_else(|| usage("obs needs a .bench file"))?;
     let c = load_circuit(path)?;
     let faults = fault_list(&c, p.opt("model"), p.opt("fault-model"))?;
@@ -656,7 +659,6 @@ fn cmd_obs(argv: &[String], g: &Globals) -> Result<(), CliError> {
         &faults,
         &SynthesisConfig {
             sequence_length: l_g,
-            speculation: g.speculation,
             run: g.run.clone(),
             ..SynthesisConfig::default()
         },
@@ -683,11 +685,13 @@ fn cmd_obs(argv: &[String], g: &Globals) -> Result<(), CliError> {
 }
 
 fn cmd_session(argv: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse(
+    let p = parse_cmd(
+        "session",
         argv,
         &["seq", "lg", "misr", "capture", "model", "fault-model"],
-    )
-    .map_err(usage)?;
+        &[],
+        1,
+    )?;
     let path = p
         .pos(0)
         .ok_or_else(|| usage("session needs a .bench file"))?;
@@ -704,7 +708,6 @@ fn cmd_session(argv: &[String], g: &Globals) -> Result<(), CliError> {
         &faults,
         &SynthesisConfig {
             sequence_length: l_g,
-            speculation: g.speculation,
             run: g.run.clone(),
             ..SynthesisConfig::default()
         },
@@ -741,7 +744,7 @@ fn cmd_session(argv: &[String], g: &Globals) -> Result<(), CliError> {
 
 fn cmd_podem(argv: &[String]) -> Result<(), CliError> {
     use wbist_atpg::{Podem, PodemConfig, PodemResult};
-    let p = parse(argv, &["model", "fault-model"]).map_err(usage)?;
+    let p = parse_cmd("podem", argv, &["model", "fault-model"], &[], 1)?;
     let path = p.pos(0).ok_or_else(|| usage("podem needs a .bench file"))?;
     let c = load_circuit(path)?;
     let scan = wbist_netlist::transform::full_scan(&c)?;
@@ -779,7 +782,7 @@ fn cmd_podem(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_vcd(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["o"]).map_err(usage)?;
+    let p = parse_cmd("vcd", argv, &["o"], &[], 2)?;
     let (path, seq_path) = match (p.pos(0), p.pos(1)) {
         (Some(a), Some(b)) => (a, b),
         _ => return Err(usage("vcd needs a .bench file and a sequence file")),
@@ -799,7 +802,7 @@ fn cmd_vcd(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_gen(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["o"]).map_err(usage)?;
+    let p = parse_cmd("gen", argv, &["o"], &[], 1)?;
     let name = p.pos(0).ok_or_else(|| usage("gen needs a circuit name"))?;
     let circuit = build_named(name)?;
     let text = bench_format::write(&circuit);
@@ -814,7 +817,8 @@ fn cmd_gen(argv: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
-    let p = parse(
+    let p = parse_cmd(
+        "serve",
         argv,
         &[
             "socket",
@@ -826,16 +830,9 @@ fn cmd_serve(argv: &[String], g: &Globals) -> Result<CmdStatus, CliError> {
             "evict-after-ms",
             "ckpt-dir",
         ],
-    )
-    .map_err(usage)?;
-    if p.num_pos() > 0 {
-        return Err(usage("serve takes no positional arguments"));
-    }
-    // The daemon runs unattended; a silently ignored misspelled option
-    // is worse than a refusal to start.
-    if let Some(f) = p.unknown_flag(&[]) {
-        return Err(usage(format!("serve: unknown option `--{f}`")));
-    }
+        &[],
+        0,
+    )?;
     // `--trace`/`--progress` enable telemetry through the globals; the
     // daemon's `serve.*` counters land in the same trace file.
     let mut cfg = ServeConfig {
@@ -1091,6 +1088,26 @@ mod tests {
         assert!(matches!(
             dispatch(&argv(&["stats", "/nonexistent/x.bench"])),
             Err(CliError::Run(_))
+        ));
+    }
+
+    #[test]
+    fn unknown_and_retired_options_are_usage_errors() {
+        // Retired flags are refused, not passed through or ignored.
+        for bad in [&["--speculation", "4"][..], &["--no-cone-seeding"][..]] {
+            for cmd in ["synth", "obs", "session", "sim", "stats"] {
+                let mut line = argv(&[cmd, "x.bench"]);
+                line.extend(argv(bad));
+                match dispatch(&line) {
+                    Err(CliError::Usage(msg)) => assert!(msg.contains(&bad[0][2..]), "{msg}"),
+                    other => panic!("{cmd} {bad:?}: expected usage error, got {other:?}"),
+                }
+            }
+        }
+        // A stray positional is refused too.
+        assert!(matches!(
+            dispatch(&argv(&["synth", "x.bench", "extra"])),
+            Err(CliError::Usage(_))
         ));
     }
 

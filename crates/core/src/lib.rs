@@ -48,7 +48,6 @@ pub mod prune;
 pub mod runctl;
 pub mod select;
 pub mod session;
-mod speculate;
 pub mod subseq;
 pub mod weights;
 

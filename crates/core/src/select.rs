@@ -30,10 +30,9 @@ use crate::live::LiveTargets;
 use crate::runctl::{
     self, Checkpoint, CheckpointError, Cursor, Outcome, RunControl, TruncationReason,
 };
-use crate::speculate;
 use crate::weights::WeightSet;
 use wbist_netlist::{Circuit, Fault, FaultList};
-use wbist_sim::{CancelToken, FaultSim, PrefixTraceCache, RunOptions, TestSequence};
+use wbist_sim::{CacheInstall, CancelToken, FaultSim, PrefixTraceCache, RunOptions, TestSequence};
 use wbist_telemetry::Telemetry;
 
 /// Configuration of the synthesis procedure.
@@ -55,23 +54,13 @@ pub struct SynthesisConfig {
     /// Disabling it is an ablation knob; the coverage guarantee is only
     /// proven with the fix-up enabled.
     pub full_length_fixup: bool,
-    /// Speculation width `K`: how many candidate ranks are evaluated
-    /// concurrently against a frozen detection snapshot before their
-    /// results are committed in strict rank order (see `DESIGN.md`
-    /// §12). `1` is the plain sequential walk. Every
-    /// width produces bit-identical results — the knob trades CPU for
-    /// wall-clock only — so it is deliberately *not* part of the
-    /// checkpoint configuration hash: checkpoints are portable across
-    /// widths.
-    pub speculation: usize,
     /// Enables the per-segment prefix-trace cache: candidate sequences
-    /// sharing an input prefix with a recently committed evaluation
-    /// resume simulation from the divergence cycle instead of cycle 0
-    /// (see `DESIGN.md` §13). Resumed evaluations are bit-identical to
+    /// sharing an input prefix with a recently evaluated one resume
+    /// simulation from the divergence cycle instead of cycle 0 (see
+    /// `DESIGN.md` §13). Resumed evaluations are bit-identical to
     /// from-scratch ones — the knob trades memory for wall-clock only —
-    /// so, like `speculation`, it is deliberately *not* part of the
-    /// checkpoint configuration hash: checkpoints are portable across
-    /// both settings.
+    /// so it is deliberately *not* part of the checkpoint configuration
+    /// hash: checkpoints are portable across both settings.
     pub prefix_cache: bool,
     /// Shared run options: simulator tuning, telemetry handle, seed.
     pub run: RunOptions,
@@ -85,7 +74,6 @@ impl Default for SynthesisConfig {
             sample_size: 32,
             ordering: CandidateOrdering::MatchCount,
             full_length_fixup: true,
-            speculation: 1,
             prefix_cache: true,
             run: RunOptions::default(),
         }
@@ -405,7 +393,6 @@ impl<'a> Synthesis<'a> {
             }
         };
 
-        let width = cfg.speculation.max(1);
         let mut live = LiveTargets::new(&target, &det_times, &detected, &abandoned);
         let mut cache = cfg.prefix_cache.then(PrefixTraceCache::new);
         if tel.is_enabled() {
@@ -418,7 +405,7 @@ impl<'a> Synthesis<'a> {
         let mut truncated: Option<TruncationReason> = None;
         // One-time trace event for declined snapshot capture: the
         // denial repeats for every dense evaluation of the same query
-        // shape, so only the first committed one is worth an event (the
+        // shape, so only the first one is worth an event (the
         // deterministic counter keeps the full count).
         let mut capture_denied_reported = false;
         loop {
@@ -456,12 +443,20 @@ impl<'a> Synthesis<'a> {
                     if cfg.full_length_fixup {
                         sets.ensure_full_length_rank();
                     }
-                    let mut j = if ls == ls0 { j0 } else { 0 };
-                    while j < sets.max_rank() {
+                    let first = if ls == ls0 { j0 } else { 0 };
+                    for rank in first..sets.max_rank() {
                         if let Some(r) = token.cancelled() {
                             truncated = Some(r);
                             break 'ls;
                         }
+                        // Only ranks holding a length-`L_S` subsequence
+                        // are admissible; the rest are skipped uncounted.
+                        if !sets.rank_has_length(rank, ls) {
+                            continue;
+                        }
+                        let Some(assignment) = sets.assignment_at(&s, rank) else {
+                            continue;
+                        };
                         if segment.is_none() {
                             live.compact();
                             if let Some(cache) = cache.as_mut() {
@@ -476,183 +471,108 @@ impl<'a> Synthesis<'a> {
                             segment = Some((seg_live, seg_faults, sample));
                         }
                         let seg = segment.as_ref().expect("segment snapshot just built");
-                        let mut wave =
-                            speculate::gather(&sets, &s, ls, &mut j, width, cfg.sequence_length);
-                        if wave.is_empty() {
-                            break; // no admissible rank left at this L_S
-                        }
-                        let launched = speculate::evaluate_wavefront(
-                            &sim,
-                            &token,
-                            &mut wave,
-                            seg.2.as_ref(),
-                            &seg.1,
-                            cache.as_ref(),
-                            &tel,
-                        );
-                        // Commit in strict rank order. The first keep (or
-                        // budget trip) discards the rest of the wave: the
-                        // discarded evaluations were computed against a
-                        // now-stale snapshot and are re-gathered, and
-                        // their private counters are never merged — which
-                        // is what keeps the deterministic trace blind to
-                        // the speculation width.
-                        let mut committed = 0usize;
-                        let mut keep_happened = false;
-                        for entry in wave.iter_mut() {
-                            committed += 1;
-                            tel.add("select.candidates_tried", 1);
-                            let done = entry.eval.as_mut().expect("launched entries carry results");
-                            tel.merge_from(&done.tel);
-                            if tel.is_enabled() && done.prefix_hits > 0 {
-                                // Reuse depends on the cache state a wave
-                                // was evaluated against, hence on the
-                                // width → effort space, out of the
-                                // deterministic trace.
-                                tel.add_effort("select.prefix_hits", done.prefix_hits);
-                                tel.add_effort("select.cycles_skipped", done.cycles_skipped);
-                            }
-                            if tel.is_enabled() {
-                                // Spatial-incrementality figures ride the
-                                // same cache state → effort space too.
-                                if done.cone_seeded > 0 {
-                                    tel.add_effort("select.cone_seeded", done.cone_seeded);
-                                }
-                                if done.trace_gates_evaluated > 0 {
-                                    tel.add_effort(
-                                        "select.trace_gates_evaluated",
-                                        done.trace_gates_evaluated,
-                                    );
-                                }
-                                if done.gates_rescanned_saved > 0 {
-                                    tel.add_effort(
-                                        "select.gates_rescanned_saved",
-                                        done.gates_rescanned_saved,
-                                    );
-                                }
-                                if done.snapshot_spills > 0 {
-                                    tel.add_effort("select.snapshot_spills", done.snapshot_spills);
-                                }
-                                if done.snapshot_bytes > 0 {
-                                    tel.add_effort("select.snapshot_bytes", done.snapshot_bytes);
-                                }
-                            }
-                            if done.snapshot_capture_denied {
-                                // Deterministic: the denial is a pure
-                                // function of the committed query shape
-                                // (batches × flip-flops over the spill
-                                // cap), replayed identically on resume.
-                                tel.add("select.snapshot_capture_denied", 1);
-                                if tel.is_enabled() && !capture_denied_reported {
-                                    capture_denied_reported = true;
-                                    tel.event(
-                                        "select.snapshot_capture_denied",
-                                        &[("rank", entry.rank as u64)],
-                                    );
-                                }
-                            }
-                            if done.screen_skip {
-                                tel.add("select.sample_skips", 1);
-                                if done.cancelled {
-                                    truncated = token.cancelled();
-                                    break;
-                                }
-                                // Publish the (trace-only) evaluation for
-                                // prefix reuse. Commit order makes the
-                                // cache state deterministic at any width;
-                                // cancelled or discarded entries never
-                                // install.
-                                if let Some(cache) = cache.as_mut() {
-                                    if let Some(inst) = done.install.take() {
-                                        cache.install(inst);
-                                    }
-                                }
-                                continue;
-                            }
-                            // The full simulation ran: its flags are
-                            // genuine detections (kept, result stays
-                            // valid) even when the run was cut short.
-                            let mut newly = 0usize;
-                            for &k in &done.newly {
-                                let gi = seg.0[k];
-                                if !detected[gi] {
-                                    detected[gi] = true;
-                                    live.mark_detected(gi);
-                                    newly += 1;
-                                }
-                            }
-                            if done.cancelled {
-                                // Possibly incomplete, so this rank must
-                                // not enter Ω or a checkpoint — a resumed
-                                // run replays it in full.
-                                truncated = token.cancelled();
-                                break;
-                            }
-                            if newly > 0 {
-                                tel.add("select.assignments_kept", 1);
-                                if tel.is_enabled() {
-                                    tel.point("fault_drop", live.undetected());
-                                    tel.event(
-                                        "select.kept",
-                                        &[
-                                            ("detection_time", u as u64),
-                                            ("rank", entry.rank as u64),
-                                            ("newly_detected", newly as u64),
-                                        ],
-                                    );
-                                }
-                                omega.push(SelectedAssignment {
-                                    assignment: entry.assignment.clone(),
-                                    detection_time: u,
-                                    rank: entry.rank,
-                                    newly_detected: newly,
-                                });
-                                write_checkpoint(
-                                    &tel,
-                                    &omega,
-                                    &detected,
-                                    &abandoned,
-                                    &s,
-                                    Some(Cursor {
-                                        fault: fi,
-                                        u,
-                                        ls,
-                                        rank: entry.rank,
-                                    }),
+                        let tg = assignment.generate(cfg.sequence_length);
+                        let eval =
+                            evaluate(&sim, &tg, seg.2.as_ref(), &seg.1, cache.as_ref(), &tel);
+                        // Read after the queries: the kernels poll the same
+                        // token per cycle, so a cut-short query implies the
+                        // trip is visible here.
+                        let cancelled = token.cancelled().is_some();
+                        tel.add("select.candidates_tried", 1);
+                        if eval.snapshot_capture_denied {
+                            // Deterministic: the denial is a pure function
+                            // of the query shape (batches × flip-flops over
+                            // the spill cap), replayed identically on resume.
+                            tel.add("select.snapshot_capture_denied", 1);
+                            if tel.is_enabled() && !capture_denied_reported {
+                                capture_denied_reported = true;
+                                tel.event(
+                                    "select.snapshot_capture_denied",
+                                    &[("rank", rank as u64)],
                                 );
-                                if let Some(max) = token.max_assignments() {
-                                    if omega.len() >= max {
-                                        token.cancel(TruncationReason::MaxAssignments);
-                                        truncated = Some(TruncationReason::MaxAssignments);
-                                    }
-                                }
-                                keep_happened = true;
-                                j = entry.rank + 1;
-                                break;
-                            }
-                            // Nothing new: publish the evaluation for
-                            // prefix reuse by later ranks.
-                            if let Some(cache) = cache.as_mut() {
-                                if let Some(inst) = done.install.take() {
-                                    cache.install(inst);
-                                }
                             }
                         }
-                        if launched > 0 && tel.is_enabled() {
-                            // Width-dependent by nature → effort space,
-                            // which stays out of the deterministic trace.
-                            let wasted = wave[committed..].len() as u64;
-                            tel.add_effort("select.speculation_launched", launched as u64);
-                            tel.add_effort("select.speculation_wasted", wasted);
-                        }
-                        if truncated.is_some() {
-                            break 'ls;
-                        }
-                        if keep_happened {
-                            segment = None;
-                            if live.time_done(u) {
+                        if eval.screen_skip {
+                            tel.add("select.sample_skips", 1);
+                            if cancelled {
+                                truncated = token.cancelled();
                                 break 'ls;
                             }
+                            // Publish the (trace-only) evaluation for
+                            // prefix reuse; a cancelled one never installs.
+                            if let (Some(cache), Some(inst)) = (cache.as_mut(), eval.install) {
+                                cache.install(inst);
+                            }
+                            continue;
+                        }
+                        // The full simulation ran: its flags are genuine
+                        // detections (kept, result stays valid) even when
+                        // the run was cut short.
+                        let mut newly = 0usize;
+                        for &k in &eval.newly {
+                            let gi = seg.0[k];
+                            if !detected[gi] {
+                                detected[gi] = true;
+                                live.mark_detected(gi);
+                                newly += 1;
+                            }
+                        }
+                        if cancelled {
+                            // Possibly incomplete, so this rank must not
+                            // enter Ω or a checkpoint — a resumed run
+                            // replays it in full.
+                            truncated = token.cancelled();
+                            break 'ls;
+                        }
+                        if newly == 0 {
+                            // Nothing new: publish the evaluation for
+                            // prefix reuse by later ranks.
+                            if let (Some(cache), Some(inst)) = (cache.as_mut(), eval.install) {
+                                cache.install(inst);
+                            }
+                            continue;
+                        }
+                        tel.add("select.assignments_kept", 1);
+                        if tel.is_enabled() {
+                            tel.point("fault_drop", live.undetected());
+                            tel.event(
+                                "select.kept",
+                                &[
+                                    ("detection_time", u as u64),
+                                    ("rank", rank as u64),
+                                    ("newly_detected", newly as u64),
+                                ],
+                            );
+                        }
+                        omega.push(SelectedAssignment {
+                            assignment,
+                            detection_time: u,
+                            rank,
+                            newly_detected: newly,
+                        });
+                        write_checkpoint(
+                            &tel,
+                            &omega,
+                            &detected,
+                            &abandoned,
+                            &s,
+                            Some(Cursor {
+                                fault: fi,
+                                u,
+                                ls,
+                                rank,
+                            }),
+                        );
+                        if let Some(max) = token.max_assignments() {
+                            if omega.len() >= max {
+                                token.cancel(TruncationReason::MaxAssignments);
+                                truncated = Some(TruncationReason::MaxAssignments);
+                                break 'ls;
+                            }
+                        }
+                        segment = None;
+                        if live.time_done(u) {
+                            break 'ls;
                         }
                     }
                 }
@@ -710,8 +630,7 @@ pub fn synthesize_weighted_bist(
 /// Builds the screening sample: the target fault plus the first
 /// `size - 1` other undetected targets (ascending index over the
 /// segment's live list — the same faults the old per-rank scan picked,
-/// built once per segment instead of once per candidate, and
-/// independent of the speculation width).
+/// built once per segment instead of once per candidate).
 fn screening_sample(faults: &FaultList, live: &[usize], fi: usize, size: usize) -> FaultList {
     let all = faults.faults();
     let mut picked: Vec<Fault> = vec![all[fi]];
@@ -724,6 +643,99 @@ fn screening_sample(faults: &FaultList, live: &[usize], fi: usize, size: usize) 
         }
     }
     FaultList::from_faults(picked)
+}
+
+/// What evaluating one candidate `T_G` produced.
+struct Evaluation {
+    /// The screening sample rejected the sequence (no full simulation).
+    screen_skip: bool,
+    /// Indices *into the segment's live list* that the sequence detects.
+    newly: Vec<usize>,
+    /// The dense query declined snapshot capture (above the spill cap).
+    snapshot_capture_denied: bool,
+    /// Cache entry to publish if the candidate is not kept.
+    install: Option<CacheInstall>,
+}
+
+/// Evaluates one candidate: screen `tg` against `sample`, then run the
+/// dense query against the segment's live list. With `cache`, the
+/// sequence is first *prepared* against the prefix cache — the good
+/// trace resumes at the first row that differs from a cached sequence,
+/// the screen and the dense query share that one trace, and the dense
+/// query resumes every fault batch from the latest faulty-plane
+/// snapshot inside the shared prefix. Resumed evaluations are
+/// bit-identical to from-scratch ones, so the cache is invisible to the
+/// deterministic trace; its reuse figures go to the effort space.
+fn evaluate(
+    sim: &FaultSim<'_>,
+    tg: &TestSequence,
+    sample: Option<&FaultList>,
+    live_faults: &FaultList,
+    cache: Option<&PrefixTraceCache>,
+    tel: &Telemetry,
+) -> Evaluation {
+    let Some(cache) = cache else {
+        let screen_skip = sample.is_some_and(|sample| !sim.query(sample).sequence(tg).any());
+        let newly = if screen_skip || live_faults.is_empty() {
+            Vec::new()
+        } else {
+            sim.query(live_faults).sequence(tg).detected_indices()
+        };
+        return Evaluation {
+            screen_skip,
+            newly,
+            snapshot_capture_denied: false,
+            install: None,
+        };
+    };
+    let effort = |name, n: u64| {
+        if n > 0 {
+            tel.add_effort(name, n);
+        }
+    };
+    let prep = sim.prepare_sequence(Some(cache), tg);
+    let mut prefix_hits = 0u64;
+    let mut cycles_skipped = prep.reused_cycles() as u64;
+    if cycles_skipped > 0 {
+        prefix_hits += 1;
+    }
+    effort("select.trace_gates_evaluated", prep.trace_gates_evaluated());
+    let screen_skip = sample.is_some_and(|sample| !sim.query(sample).prepared(&prep).any());
+    let eval = if screen_skip || live_faults.is_empty() {
+        Evaluation {
+            screen_skip,
+            newly: Vec::new(),
+            snapshot_capture_denied: false,
+            install: Some(sim.trace_install(&prep)),
+        }
+    } else {
+        if sample.is_some() {
+            // The dense query reuses the good trace the screen already
+            // computed — one good simulation for the pair instead of two.
+            prefix_hits += 1;
+            cycles_skipped += tg.len() as u64;
+        }
+        let out = sim
+            .query(live_faults)
+            .prepared(&prep)
+            .cache(cache)
+            .outcome();
+        if out.resumed_cycles > 0 {
+            prefix_hits += 1;
+            cycles_skipped += out.resumed_cycles;
+        }
+        effort("select.snapshot_spills", out.snapshot_spills);
+        effort("select.snapshot_bytes", out.snapshot_bytes);
+        Evaluation {
+            screen_skip,
+            newly: out.detected,
+            snapshot_capture_denied: out.snapshot_capture_denied,
+            install: Some(out.install),
+        }
+    };
+    effort("select.prefix_hits", prefix_hits);
+    effort("select.cycles_skipped", cycles_skipped);
+    eval
 }
 
 #[cfg(test)]

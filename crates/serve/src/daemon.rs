@@ -35,8 +35,8 @@ use std::time::{Duration, Instant};
 use wbist_core::{
     run_synthesis_job, Outcome, ResumePolicy, RunControl, SynthesisConfig, SynthesisResult,
 };
-use wbist_netlist::FaultList;
-use wbist_sim::{CancelToken, FaultSim, RunOptions, TestSequence, TruncationReason};
+use wbist_netlist::{Circuit, FaultList};
+use wbist_sim::{CancelToken, FaultSim, RunOptions, SimError, TestSequence, TruncationReason};
 use wbist_telemetry::json::Json;
 use wbist_telemetry::{failpoint, Telemetry};
 
@@ -557,14 +557,8 @@ impl Server {
         let faults = FaultList::checkpoints(&entry.circuit);
         match spec.kind {
             JobKind::Sim => {
-                let rows: Vec<&str> = spec
-                    .rows
-                    .as_deref()
-                    .ok_or("sim jobs require rows")?
-                    .iter()
-                    .map(String::as_str)
-                    .collect();
-                let seq = TestSequence::parse_rows(&rows).map_err(|e| e.to_string())?;
+                let rows = spec.rows.as_deref().ok_or("sim jobs require rows")?;
+                let seq = job_rows(rows, &entry.circuit)?;
                 let detected = FaultSim::with_run_options(&entry.circuit, &run)
                     .query(&faults)
                     .sequence(&seq)
@@ -581,15 +575,11 @@ impl Server {
             }
             JobKind::Synth => {
                 let t = match spec.rows.as_deref() {
-                    Some(rows) => {
-                        let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
-                        TestSequence::parse_rows(&rows).map_err(|e| e.to_string())?
-                    }
+                    Some(rows) => job_rows(rows, &entry.circuit)?,
                     None => deterministic_t(&entry.circuit, spec.seed),
                 };
                 let cfg = SynthesisConfig {
                     sequence_length: spec.lg.unwrap_or_else(|| (2 * t.len()).max(256)),
-                    speculation: spec.speculation.max(1),
                     run,
                     ..SynthesisConfig::default()
                 };
@@ -776,9 +766,26 @@ impl Server {
     }
 }
 
+/// Parses a job's explicit input rows and checks their width against
+/// the registered circuit, so a bad submission fails the job once with
+/// a message instead of tripping a simulator assert (which would be
+/// retried as a panic).
+fn job_rows(rows: &[String], circuit: &Circuit) -> Result<TestSequence, String> {
+    let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
+    let seq = TestSequence::parse_rows(&rows).map_err(|e| e.to_string())?;
+    if seq.num_inputs() != circuit.num_inputs() {
+        return Err(SimError::InputWidthMismatch {
+            circuit: circuit.num_inputs(),
+            sequence: seq.num_inputs(),
+        }
+        .to_string());
+    }
+    Ok(seq)
+}
+
 /// The deterministic default `T` for synth jobs submitted without
 /// explicit rows: an LFSR sequence derived from the job seed.
-fn deterministic_t(circuit: &wbist_netlist::Circuit, seed: u64) -> TestSequence {
+fn deterministic_t(circuit: &Circuit, seed: u64) -> TestSequence {
     let lfsr_seed = ((seed as u32) | 1) & 0x00FF_FFFF;
     wbist_atpg::Lfsr::new(24, lfsr_seed.max(1)).sequence(circuit.num_inputs(), 64)
 }

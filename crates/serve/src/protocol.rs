@@ -65,10 +65,8 @@ pub struct JobSpec {
     pub rows: Option<Vec<String>>,
     /// Base seed for pseudo-random phases.
     pub seed: u64,
-    /// `L_G` override for synth jobs.
+    /// `L_G` override for synth jobs (positive).
     pub lg: Option<usize>,
-    /// Speculation width for synth jobs (default 1).
-    pub speculation: usize,
     /// Per-job resource budget; unlimited fields never trip.
     pub budget: Budget,
 }
@@ -215,6 +213,10 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             if kind == JobKind::Sim && rows.is_none() {
                 return Err(bad("sim jobs require `rows`"));
             }
+            let lg = opt_u64(&v, "lg")?.map(|n| n as usize);
+            if lg == Some(0) {
+                return Err(bad("`lg` must be positive"));
+            }
             let mut budget = Budget::default();
             if let Some(secs) = match v.get("wall_secs") {
                 None | Some(Json::Null) => None,
@@ -244,8 +246,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 circuit: str_field(&v, "circuit")?,
                 rows,
                 seed: opt_u64(&v, "seed")?.unwrap_or(1),
-                lg: opt_u64(&v, "lg")?.map(|n| n as usize),
-                speculation: opt_u64(&v, "speculation")?.unwrap_or(1) as usize,
+                lg,
                 budget,
             }))
         }
@@ -298,6 +299,7 @@ mod tests {
             r#"{"op":"submit","id":"has space","kind":"synth","circuit":"c"}"#,
             r#"{"op":"submit","id":"j","kind":"warp","circuit":"c"}"#,
             r#"{"op":"submit","id":"j","kind":"sim","circuit":"c"}"#,
+            r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","lg":0}"#,
             r#"{"op":"register","name":"c"}"#,
             r#"{"op":"register","name":"c","builtin":"s27","bench":"x"}"#,
             r#"{"op":"nope"}"#,

@@ -337,192 +337,6 @@ impl CompiledCircuit {
         (trace, ff)
     }
 
-    /// Cone-seeded variant of [`good_trace_from`](Self::good_trace_from):
-    /// instead of re-evaluating every gate of every suffix cycle, the
-    /// rows that overlap `base` are rebuilt *incrementally* — the dirty
-    /// worklist is seeded each cycle with only the primary inputs whose
-    /// streams differ (`changed_pis`, per-PI flags) plus the Q nets of
-    /// flip-flops whose data input was dirty the cycle before, and a
-    /// gate is evaluated only when one of its operands left the base
-    /// value. A gate whose recomputed output equals the base value goes
-    /// clean on the spot, so dirtiness dies out instead of flooding the
-    /// netlist. Rows past `base.len()` fall back to full evaluation.
-    ///
-    /// Every evaluated gate provably lies inside the union of the
-    /// changed inputs' forward cones (debug-asserted against
-    /// `input_cone`), and the produced trace is bit-identical to the
-    /// full rebuild — pinned by `good_trace_from_cone_matches_full`
-    /// below and the prefix-cache proptests. Returns the gate-evaluation
-    /// accounting alongside the trace and final flip-flop state.
-    pub(crate) fn good_trace_from_cone(
-        &self,
-        seq: &TestSequence,
-        init_ff: &[Logic3],
-        base: &GoodTrace,
-        shared: usize,
-        changed_pis: &[bool],
-    ) -> (GoodTrace, Vec<Logic3>, TraceStats) {
-        debug_assert_eq!(init_ff.len(), self.num_dffs);
-        debug_assert_eq!(changed_pis.len(), self.pi_nets.len());
-        debug_assert!(shared <= seq.len() && shared <= base.len());
-        if shared == 0 {
-            // Nothing is shared, so nothing is incremental: the full
-            // path is the honest accounting.
-            let (trace, ff) = self.good_trace(seq, init_ff);
-            let evaluated = (self.num_gates * seq.len()) as u64;
-            return (trace, ff, TraceStats::full(evaluated));
-        }
-        let words = self.num_nets.div_ceil(64);
-        let mut trace = GoodTrace::new(self.num_nets, seq.len());
-        trace.copy_rows(base, 0..shared);
-        let mut stats = TraceStats::default();
-        // Union cone of the changed input streams: the static bound the
-        // dynamic dirty set must stay inside.
-        #[cfg(debug_assertions)]
-        let (cone, cone_ffs) = self.input_cone(changed_pis);
-        let gate_words = self.num_gates.div_ceil(64);
-        let mut sched = vec![0u64; gate_words];
-        let mut dirty = vec![false; self.num_nets];
-        let mut val = vec![CODE_X; self.num_nets];
-        let mut dirty_nets: Vec<u32> = Vec::new();
-        // DFF indices whose data net was dirty in the previous cycle:
-        // their Q nets seed the next cycle's worklist (this is how
-        // dirtiness crosses the register boundary).
-        let mut dirty_qs: Vec<u32> = Vec::new();
-        let mut next_qs: Vec<u32> = Vec::new();
-        let overlap = seq.len().min(base.len());
-        for u in shared..overlap {
-            let evaluated_before = stats.gates_evaluated;
-            // Seed: changed-stream PIs that actually differ this cycle…
-            let row = seq.row(u);
-            for (pi, &n) in self.pi_nets.iter().enumerate() {
-                let v = code_of_bool(row[pi]);
-                if !changed_pis[pi] {
-                    debug_assert_eq!(
-                        v,
-                        base.code(u, n as usize),
-                        "unchanged stream diverged from the base trace"
-                    );
-                    continue;
-                }
-                if v != base.code(u, n as usize) {
-                    dirty[n as usize] = true;
-                    val[n as usize] = v;
-                    dirty_nets.push(n);
-                    mark_cone_loads(self, n as usize, &mut sched, &mut next_qs);
-                }
-            }
-            // …and the Q nets latched from last cycle's dirty D nets.
-            for &k in &dirty_qs {
-                #[cfg(debug_assertions)]
-                debug_assert!(
-                    cone_ffs[k as usize],
-                    "flip-flop {k} latched dirtiness outside the changed-input cone union"
-                );
-                let q = self.dff_q[k as usize] as usize;
-                let v = trace.code(u - 1, self.dff_d[k as usize] as usize);
-                debug_assert_ne!(v, base.code(u, q), "a dirty D net implies a dirty Q");
-                dirty[q] = true;
-                val[q] = v;
-                dirty_nets.push(q as u32);
-                mark_cone_loads(self, q, &mut sched, &mut next_qs);
-            }
-            // Forward sweep in topo order: loads sit at strictly later
-            // positions, so popping the lowest set bit first evaluates
-            // everything that can change exactly once.
-            let mut wi = 0usize;
-            while wi < gate_words {
-                if sched[wi] == 0 {
-                    wi += 1;
-                    continue;
-                }
-                let bit = sched[wi].trailing_zeros() as usize;
-                sched[wi] &= sched[wi] - 1;
-                let pos = wi * 64 + bit;
-                #[cfg(debug_assertions)]
-                debug_assert!(
-                    cone[pos],
-                    "gate {pos} dirtied outside the changed-input cone union"
-                );
-                stats.gates_evaluated += 1;
-                let v = self.eval_code(pos, |n| if dirty[n] { val[n] } else { base.code(u, n) });
-                let out = self.out_nets[pos] as usize;
-                if v != base.code(u, out) {
-                    dirty[out] = true;
-                    val[out] = v;
-                    dirty_nets.push(out as u32);
-                    mark_cone_loads(self, out, &mut sched, &mut next_qs);
-                }
-            }
-            stats.gates_saved += self.num_gates as u64 - (stats.gates_evaluated - evaluated_before);
-            // Write the row: the base row verbatim, then the dirty nets.
-            trace.copy_rows(base, u..u + 1);
-            let rb = u * words;
-            for &n in &dirty_nets {
-                let w = rb + n as usize / 64;
-                let b = n % 64;
-                let c = val[n as usize];
-                trace.ones[w] = (trace.ones[w] & !(1u64 << b)) | (u64::from(c & 1) << b);
-                trace.zeros[w] = (trace.zeros[w] & !(1u64 << b)) | (u64::from(c >> 1) << b);
-            }
-            // Sparse reset for the next cycle.
-            for &n in &dirty_nets {
-                dirty[n as usize] = false;
-            }
-            dirty_nets.clear();
-            std::mem::swap(&mut dirty_qs, &mut next_qs);
-            next_qs.clear();
-        }
-        // Rows past the base trace have nothing to diff against: full
-        // evaluation from the flip-flop state the incremental rows
-        // produced.
-        let ff: Vec<Code> = self
-            .dff_d
-            .iter()
-            .map(|&d| trace.code(overlap - 1, d as usize))
-            .collect();
-        let ff = self.good_cycles(seq, overlap..seq.len(), ff, &mut trace);
-        stats.gates_evaluated += (self.num_gates * (seq.len() - overlap)) as u64;
-        (trace, ff, stats)
-    }
-
-    /// Forward cone of the changed input streams, over gate topo
-    /// positions and flip-flop indices: a worklist closure over the load
-    /// CSR that continues through each reached flip-flop's output net
-    /// (membership means "reachable at some cycle offset"). The static
-    /// bound the cone-seeded rebuild's debug assertions check against.
-    #[cfg(debug_assertions)]
-    fn input_cone(&self, changed_pis: &[bool]) -> (Vec<bool>, Vec<bool>) {
-        let mut gates = vec![false; self.num_gates];
-        let mut dffs = vec![false; self.num_dffs];
-        let mut seen = vec![false; self.num_nets];
-        let mut stack: Vec<u32> = Vec::new();
-        for (pi, &n) in self.pi_nets.iter().enumerate() {
-            if changed_pis[pi] && !seen[n as usize] {
-                seen[n as usize] = true;
-                stack.push(n);
-            }
-        }
-        while let Some(n) = stack.pop() {
-            let (s, e) = (self.load_start[n as usize], self.load_start[n as usize + 1]);
-            for &code in &self.load_codes[s as usize..e as usize] {
-                let next = if (code as usize) < self.num_gates {
-                    gates[code as usize] = true;
-                    self.out_nets[code as usize]
-                } else {
-                    let k = code as usize - self.num_gates;
-                    dffs[k] = true;
-                    self.dff_q[k]
-                };
-                if !seen[next as usize] {
-                    seen[next as usize] = true;
-                    stack.push(next);
-                }
-            }
-        }
-        (gates, dffs)
-    }
-
     /// Simulates the fault-free machine over `cycles` of `seq`, entering
     /// the first with flip-flop state `ff`, and packs every cycle's net
     /// values into `trace`. Returns the state after the last cycle.
@@ -575,48 +389,6 @@ impl CompiledCircuit {
         let r = (all & op.all) | (any & op.any) | (xor & op.xor);
         let swapped = ((r << 1) | (r >> 1)) & 3;
         r ^ ((r ^ swapped) & op.swap)
-    }
-}
-
-/// Gate-evaluation accounting for an incremental good-trace rebuild:
-/// how many gates the suffix actually evaluated, and how many a full
-/// per-cycle rescan would have evaluated but the cone-restricted sweep
-/// proved clean. `evaluated + saved = num_gates × overlap_cycles` for
-/// the incrementally rebuilt rows; rows past the base trace count as
-/// fully evaluated with nothing saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct TraceStats {
-    /// Gates evaluated while rebuilding the suffix.
-    pub(crate) gates_evaluated: u64,
-    /// Gates a full rescan would have re-evaluated for nothing.
-    pub(crate) gates_saved: u64,
-}
-
-impl TraceStats {
-    /// Accounting for a full (non-incremental) rebuild.
-    pub(crate) fn full(evaluated: u64) -> TraceStats {
-        TraceStats {
-            gates_evaluated: evaluated,
-            gates_saved: 0,
-        }
-    }
-}
-
-/// Schedules the consumers of a freshly dirtied net during the
-/// cone-seeded good-trace rebuild: consuming gates join the bitmap
-/// worklist, DFF data loads are collected for the *next* cycle's Q-net
-/// seeding. Each net is dirtied at most once per cycle (single driver),
-/// so the DFF list never sees duplicates.
-#[inline]
-fn mark_cone_loads(cc: &CompiledCircuit, net: usize, sched: &mut [u64], next_qs: &mut Vec<u32>) {
-    let s = cc.load_start[net] as usize;
-    let e = cc.load_start[net + 1] as usize;
-    for &code in &cc.load_codes[s..e] {
-        if (code as usize) < cc.num_gates {
-            sched[code as usize / 64] |= 1u64 << (code % 64);
-        } else {
-            next_qs.push(code - cc.num_gates as u32);
-        }
     }
 }
 
@@ -1704,38 +1476,17 @@ mod tests {
         }
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    fn input_cones_cross_the_register_boundary() {
-        let c = toy();
-        let cc = CompiledCircuit::build(&c);
-        // PI a feeds the NAND (topo 0), whose output crosses the DFF and
-        // also drives the XOR (topo 1): both gates and the DFF are in
-        // a's cone. PI b feeds only the XOR.
-        assert_eq!(
-            cc.input_cone(&[true, false]),
-            (vec![true, true], vec![true])
-        );
-        assert_eq!(
-            cc.input_cone(&[false, true]),
-            (vec![false, true], vec![false])
-        );
-        assert_eq!(cc.input_cone(&[true, true]), (vec![true, true], vec![true]));
-    }
-
-    #[test]
-    fn good_trace_from_cone_matches_full() {
+    fn good_trace_from_equals_good_trace_at_every_divergence_cycle() {
         let c = toy();
         let cc = CompiledCircuit::build(&c);
         let base_rows = ["00", "10", "01", "11", "10", "00"];
         let base_seq = TestSequence::parse_rows(&base_rows).unwrap();
         let (base, _) = cc.good_trace(&base_seq, &[Logic3::X]);
         // Flip input 1's stream from each divergence cycle on (plus an
-        // extension past the base), and rebuild cone-seeded: the trace,
-        // final state and row contents must match the full rebuild at
-        // every divergence cycle, under both the honest changed-stream
-        // flags and the conservative all-changed flags.
-        for shared in 1..=base_seq.len() {
+        // extension past the base): the resumed trace and final state
+        // must equal the from-scratch ones at every divergence cycle.
+        for shared in 0..=base_seq.len() {
             let mut rows: Vec<String> = base_rows.iter().map(|r| r.to_string()).collect();
             for row in rows.iter_mut().skip(shared) {
                 let flipped = if &row[1..2] == "0" { "1" } else { "0" };
@@ -1744,35 +1495,18 @@ mod tests {
             rows.push("11".into());
             let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
             let seq = TestSequence::parse_rows(&refs).unwrap();
-            let (expect, expect_ff) = cc.good_trace_from(&seq, &[Logic3::X], &base, shared);
-            for changed in [vec![false, true], vec![true, true]] {
-                let (got, got_ff, stats) =
-                    cc.good_trace_from_cone(&seq, &[Logic3::X], &base, shared, &changed);
-                for u in 0..seq.len() {
-                    for n in 0..c.num_nets() {
-                        assert_eq!(
-                            got.planes::<u64>(u, n),
-                            expect.planes::<u64>(u, n),
-                            "net {n} at {u} (shared {shared}, changed {changed:?})"
-                        );
-                    }
+            let (expect, expect_ff) = cc.good_trace(&seq, &[Logic3::X]);
+            let (got, got_ff) = cc.good_trace_from(&seq, &[Logic3::X], &base, shared);
+            for u in 0..seq.len() {
+                for n in 0..c.num_nets() {
+                    assert_eq!(
+                        got.planes::<u64>(u, n),
+                        expect.planes::<u64>(u, n),
+                        "net {n} at {u} (shared {shared})"
+                    );
                 }
-                assert_eq!(got_ff, expect_ff, "final state (shared {shared})");
-                // The accounting is complete: over the overlapping rows
-                // evaluated + saved covers every gate of every cycle,
-                // and the extension row is fully evaluated.
-                let overlap = (base_seq.len() - shared) as u64;
-                let extension = (seq.len() - base_seq.len()) as u64;
-                assert_eq!(
-                    stats.gates_evaluated + stats.gates_saved,
-                    cc.num_gates as u64 * (overlap + extension),
-                    "accounting (shared {shared})"
-                );
-                assert!(
-                    stats.gates_saved > 0 || shared == base_seq.len(),
-                    "a diverging suffix on this toy must save something"
-                );
             }
+            assert_eq!(got_ff, expect_ff, "final state (shared {shared})");
         }
     }
 

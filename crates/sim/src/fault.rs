@@ -114,13 +114,6 @@ pub struct SimOptions {
     /// Detections and every deterministic counter except the batch
     /// partition figures are width-invariant. Default: 64-bit.
     pub word_width: WordWidth,
-    /// Disables cone-seeded good-trace resume: a prepared evaluation
-    /// that resumes from a cached prefix re-evaluates *every* gate of
-    /// every suffix cycle instead of only the changed input streams'
-    /// forward cones. The produced trace is bit-identical either way —
-    /// the flag exists for the identity diffs in CI and for measuring
-    /// the saving (inverted so the zero default keeps seeding on).
-    pub no_cone_seeding: bool,
 }
 
 impl SimOptions {
@@ -142,13 +135,6 @@ impl SimOptions {
     /// Selects the plane word width (builder style).
     pub fn word_width(mut self, width: WordWidth) -> SimOptions {
         self.word_width = width;
-        self
-    }
-
-    /// Enables or disables cone-seeded good-trace resume (builder
-    /// style). On by default; results are identical either way.
-    pub fn cone_seeding(mut self, on: bool) -> SimOptions {
-        self.no_cone_seeding = !on;
         self
     }
 }
@@ -179,13 +165,8 @@ pub struct PreparedSequence {
     /// `(cache entry index, shared prefix rows)` of the best match.
     base: Option<(usize, usize)>,
     reused_cycles: usize,
-    /// Whether the trace rebuild was cone-seeded (a resumed rebuild with
-    /// cone seeding enabled; full-length trace shares never rebuild).
-    cone_seeded: bool,
     /// Good-machine gates evaluated rebuilding the suffix.
     trace_gates_evaluated: u64,
-    /// Gates a full-rescan rebuild would have evaluated on top of that.
-    trace_gates_saved: u64,
 }
 
 impl PreparedSequence {
@@ -199,21 +180,11 @@ impl PreparedSequence {
         &self.seq
     }
 
-    /// Whether the good-trace rebuild was cone-seeded.
-    pub fn cone_seeded(&self) -> bool {
-        self.cone_seeded
-    }
-
-    /// Good-machine gate evaluations spent rebuilding the trace suffix
-    /// (0 when the trace was computed from scratch or shared whole).
+    /// Good-machine gate evaluations spent rebuilding the trace suffix:
+    /// every gate of every resumed cycle (0 when the trace was computed
+    /// from scratch or shared whole).
     pub fn trace_gates_evaluated(&self) -> u64 {
         self.trace_gates_evaluated
-    }
-
-    /// Good-machine gate evaluations the cone-seeded rebuild avoided
-    /// relative to a full per-cycle rescan of the suffix.
-    pub fn trace_gates_saved(&self) -> u64 {
-        self.trace_gates_saved
     }
 }
 
@@ -649,19 +620,6 @@ impl<'c> FaultSim<'c> {
     pub fn cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// A clone of this simulator sharing the compiled circuit (an `Arc`
-    /// bump, no recompilation) but recording into `telemetry` and pinned
-    /// to `threads` batch-level workers. The synthesis wavefront hands
-    /// one of these to each speculation worker so every candidate's
-    /// counters land in a private handle that can be merged in commit
-    /// order.
-    pub fn worker_clone(&self, telemetry: Telemetry, threads: usize) -> FaultSim<'c> {
-        let mut sim = self.clone();
-        sim.options.threads = Some(threads.max(1));
-        sim.telemetry = telemetry;
-        sim
     }
 
     /// The circuit being simulated.
@@ -1345,33 +1303,21 @@ impl<'c> FaultSim<'c> {
             Some((ei, d)) => {
                 let base = cache.expect("best_prefix implies a cache").entry(ei);
                 // A full-length match over equal lengths is the same
-                // sequence: share the trace outright.
-                let (trace, cone_seeded, stats) = if d == seq.len() && base.trace.len() == d {
-                    (base.trace.clone(), false, compiled::TraceStats::default())
-                } else if self.options.no_cone_seeding {
-                    // Full-divergence resume: every suffix gate rescanned.
-                    let stats = compiled::TraceStats::full(
-                        (self.compiled.num_gates * (seq.len() - d)) as u64,
-                    );
-                    let trace = self.compiled.good_trace_from(seq, &init, &base.trace, d).0;
-                    (Arc::new(trace), false, stats)
+                // sequence: share the trace outright. Otherwise copy the
+                // shared rows and rescan every gate of the suffix.
+                let (trace, trace_gates_evaluated) = if d == seq.len() && base.trace.len() == d {
+                    (base.trace.clone(), 0)
                 } else {
-                    // Cone-seeded resume: only the changed input
-                    // streams' forward cones are re-evaluated.
-                    let changed = prefix::changed_streams(&base.seq, seq, d);
-                    let (trace, _, stats) =
-                        self.compiled
-                            .good_trace_from_cone(seq, &init, &base.trace, d, &changed);
-                    (Arc::new(trace), true, stats)
+                    let trace = self.compiled.good_trace_from(seq, &init, &base.trace, d).0;
+                    let gates = (self.compiled.num_gates * (seq.len() - d)) as u64;
+                    (Arc::new(trace), gates)
                 };
                 PreparedSequence {
                     seq: seq.clone(),
                     trace,
                     base: Some((ei, d)),
                     reused_cycles: d,
-                    cone_seeded,
-                    trace_gates_evaluated: stats.gates_evaluated,
-                    trace_gates_saved: stats.gates_saved,
+                    trace_gates_evaluated,
                 }
             }
             None => PreparedSequence {
@@ -1379,9 +1325,7 @@ impl<'c> FaultSim<'c> {
                 trace: Arc::new(self.compiled.good_trace(seq, &init).0),
                 base: None,
                 reused_cycles: 0,
-                cone_seeded: false,
                 trace_gates_evaluated: 0,
-                trace_gates_saved: 0,
             },
         }
     }

@@ -15,8 +15,8 @@
 //!   stuck-at and transition-delay faults); all one-shot questions go
 //!   through the [`FaultSim::query`] builder.
 //! * [`pool`] — the single work-stealing pool that every parallel
-//!   fan-out in the workspace (sim batches, speculative candidate
-//!   evaluation, session fault jobs) dispatches through.
+//!   fan-out in the workspace (sim batches, session fault jobs)
+//!   dispatches through.
 //!
 //! # Detection semantics
 //!
@@ -47,7 +47,6 @@
 
 mod compiled;
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod good;
 pub mod logic;
@@ -63,7 +62,6 @@ pub mod vcd;
 mod word;
 
 pub use error::SimError;
-pub use event::EventSim;
 pub use fault::{
     CompiledHandle, FaultSim, FaultSimState, PreparedOutcome, PreparedSequence, Query, SimOptions,
 };

@@ -1,11 +1,9 @@
 //! The one worker pool shared by every parallel phase.
 //!
-//! Fault-simulation batches, speculative candidate evaluations and
-//! session fault jobs all used to fan out through their own nested
-//! `std::thread::scope` blocks, so a sim scatter running inside a
-//! speculation wave could not hand idle threads to its siblings. This
-//! module replaces all three fan-outs with a single process-wide set of
-//! detached worker threads and a help-first participation protocol:
+//! Fault-simulation batches and session fault jobs fan out through a
+//! single process-wide set of detached worker threads with a help-first
+//! participation protocol, so a sim scatter nested inside a session job
+//! shares the same workers instead of spawning its own:
 //!
 //! * A fan-out ([`scatter`]) publishes *tickets* — invitations to run
 //!   one participant closure — on a global [`Injector`] queue (the

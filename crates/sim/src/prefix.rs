@@ -409,33 +409,6 @@ impl PrefixTraceCache {
     }
 }
 
-/// Which input streams differ between the cached prefix `owner` and the
-/// `probe` beyond the shared prefix `from`: one flag per primary input,
-/// set when the two sequences disagree on that input at *any* of the
-/// overlapping rows `from..min(len)`. Rows past the owner's length have
-/// no cached values to diff against (they are simulated in full), so
-/// they do not contribute.
-///
-/// This is what makes the prefix cache *spatially* incremental: the
-/// cone-seeded good-trace rebuild re-evaluates only the forward cones
-/// of the flagged inputs, and a probe that differs from its cached
-/// owner in one weight stream re-simulates one cone, not the netlist.
-pub(crate) fn changed_streams(
-    owner: &TestSequence,
-    probe: &TestSequence,
-    from: usize,
-) -> Vec<bool> {
-    debug_assert_eq!(owner.num_inputs(), probe.num_inputs());
-    let mut changed = vec![false; probe.num_inputs()];
-    for u in from..owner.len().min(probe.len()) {
-        let (a, b) = (owner.row(u), probe.row(u));
-        for (flag, (x, y)) in changed.iter_mut().zip(a.iter().zip(b)) {
-            *flag |= x != y;
-        }
-    }
-    changed
-}
-
 /// Number of leading time units on which `a` and `b` apply identical
 /// input vectors (0 when the input widths differ).
 pub(crate) fn common_prefix_rows(a: &TestSequence, b: &TestSequence) -> usize {
@@ -573,17 +546,6 @@ mod tests {
         assert_eq!(cache.len(), before);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn changed_streams_flags_only_diverging_inputs() {
-        let a = seq(&["00", "01", "10"]);
-        let b = seq(&["00", "11", "10"]);
-        assert_eq!(changed_streams(&a, &b, 1), vec![true, false]);
-        assert_eq!(changed_streams(&a, &b, 2), vec![false, false]);
-        // Rows past the owner's length have nothing to diff against.
-        let longer = seq(&["00", "01", "10", "11"]);
-        assert_eq!(changed_streams(&a, &longer, 3), vec![false, false]);
     }
 
     #[test]

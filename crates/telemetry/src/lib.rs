@@ -243,36 +243,6 @@ impl Telemetry {
         span.counters_at_start.clear();
     }
 
-    /// Folds another handle's counters into this one: deterministic
-    /// counters into the deterministic space, effort counters into the
-    /// effort space. Curves, events and spans are *not* transferred —
-    /// they are ordered records and must be emitted by orchestration
-    /// code, not merged from workers.
-    ///
-    /// This is how speculative evaluation keeps the determinism
-    /// contract: each worker records into a private handle, and the
-    /// committing thread merges the private handles in commit order, so
-    /// the main handle's totals are independent of scheduling.
-    pub fn merge_from(&self, other: &Telemetry) {
-        let (Some(into), Some(from)) = (&self.inner, &other.inner) else {
-            return;
-        };
-        if Arc::ptr_eq(into, from) {
-            return;
-        }
-        let (counters, effort) = {
-            let st = from.state.lock().unwrap();
-            (st.counters.clone(), st.effort.clone())
-        };
-        let mut st = into.state.lock().unwrap();
-        for (k, v) in counters {
-            *st.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in effort {
-            *st.effort.entry(k).or_insert(0) += v;
-        }
-    }
-
     /// The current value of an effort counter (0 if never added, or if
     /// the handle is disabled). Effort totals are scheduling-dependent;
     /// see [`Telemetry::add_effort`].
@@ -580,26 +550,6 @@ mod tests {
             handle.join().unwrap();
         }
         assert_eq!(t.counter("hits"), 400);
-    }
-
-    #[test]
-    fn merge_from_folds_both_counter_spaces() {
-        let main = Telemetry::enabled();
-        main.add("sim.cycles", 10);
-        let worker = Telemetry::enabled();
-        worker.add("sim.cycles", 5);
-        worker.add("sim.calls", 1);
-        worker.add_effort("sim.screen_cycles", 7);
-        main.merge_from(&worker);
-        assert_eq!(main.counter("sim.cycles"), 15);
-        assert_eq!(main.counter("sim.calls"), 1);
-        assert_eq!(main.effort("sim.screen_cycles"), 7);
-        // Disabled handles on either side are inert.
-        main.merge_from(&Telemetry::disabled());
-        Telemetry::disabled().merge_from(&main);
-        // Merging a handle into itself is a no-op, not a double-count.
-        main.merge_from(&main.clone());
-        assert_eq!(main.counter("sim.cycles"), 15);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Measures selection-loop synthesis wall-clock and candidates per second
-# across speculation widths and writes BENCH_select.json at the repo root.
+# and writes BENCH_select.json at the repo root.
 #
 # Usage: scripts/bench_select.sh [--circuits s1196,s5378,s35932]
-#                                [--widths 1,4,8] [--threads N]
-#                                [--t-len N] [--lg N] [--keep-every N]
-#                                [--word-width 64|128|256]
-#                                [--reps N] [--width-sweep] [--golden]
+#                                [--threads N] [--t-len N] [--lg N]
+#                                [--keep-every N] [--word-width 64|128|256]
+#                                [--fault-model stuck-at|transition]
+#                                [--reps N] [--golden] [--no-prefix-cache]
 # Extra arguments are forwarded to the synth_bench binary. The committed
 # BENCH_select.json is regenerated with:
-#   scripts/bench_select.sh --circuits s1196,s5378,s35932 --width-sweep --widths 1,4
+#   scripts/bench_select.sh --circuits s1196,s5378,s35932 --reps 3
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

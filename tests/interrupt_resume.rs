@@ -14,7 +14,7 @@ use wbist::core::{
     TruncationReason,
 };
 use wbist::netlist::FaultList;
-use wbist::sim::{FaultSim, SimOptions};
+use wbist::sim::{FaultSim, SimOptions, WordWidth};
 
 /// Sequence length of the deterministic sequence `T` driving synthesis.
 const T_LEN: usize = 48;
@@ -22,23 +22,6 @@ const T_LEN: usize = 48;
 const L_G: usize = 64;
 
 fn interrupt_resume_roundtrip(name: &str, keep_every: usize) {
-    interrupt_resume_roundtrip_with(name, keep_every, 1, 1);
-}
-
-/// The roundtrip, with explicit speculation widths for the interrupted
-/// runs (`cut_width`) and the resumed runs (`resume_width`). With
-/// `cut_width > 1` the fault-cycle budgets land *mid-wavefront*: the
-/// commit loop stops at the first cancelled evaluation and discards the
-/// rest of the wave. Checkpoints record only committed ranks and the
-/// configuration hash excludes the width, so a run cut at one width must
-/// resume bit-identically at any other — the reference run is always the
-/// plain sequential walk.
-fn interrupt_resume_roundtrip_with(
-    name: &str,
-    keep_every: usize,
-    cut_width: usize,
-    resume_width: usize,
-) {
     let c = benchmark(name);
     let faults = FaultList::checkpoints(&c);
     let t = lfsr_sequence(&c, T_LEN);
@@ -47,9 +30,7 @@ fn interrupt_resume_roundtrip_with(
         sequence_length: L_G,
         ..SynthesisConfig::default()
     };
-    let dir = scratch_dir(&format!(
-        "interrupt-resume-{name}-{cut_width}-{resume_width}"
-    ));
+    let dir = scratch_dir(&format!("interrupt-resume-{name}"));
 
     // The uninterrupted reference run, writing checkpoints like the
     // interrupted runs do so the checkpoint counters are comparable.
@@ -79,7 +60,6 @@ fn interrupt_resume_roundtrip_with(
         let ckpt = dir.join(format!("cut-{budget_fc}.ckpt"));
         let cut = Synthesis::new(&c, &t, &faults)
             .config(SynthesisConfig {
-                speculation: cut_width,
                 run: RunOptions::default().telemetry(Telemetry::enabled()),
                 ..cfg.clone()
             })
@@ -102,7 +82,6 @@ fn interrupt_resume_roundtrip_with(
         let resumed_tel = Telemetry::enabled();
         let resumed = Synthesis::new(&c, &t, &faults)
             .config(SynthesisConfig {
-                speculation: resume_width,
                 run: RunOptions::default().telemetry(resumed_tel.clone()),
                 ..cfg.clone()
             })
@@ -143,20 +122,59 @@ fn s5378_interrupt_resume_is_bit_identical() {
     interrupt_resume_roundtrip("s5378", 120);
 }
 
-/// Fault-cycle budgets land mid-wavefront at width 4; resuming at the
-/// same width must converge to the sequential reference.
-#[test]
-fn s1196_speculative_interrupt_resume_is_bit_identical() {
-    interrupt_resume_roundtrip_with("s1196", 20, 4, 4);
-}
-
-/// A checkpoint written by a speculative run resumes bit-identically on
-/// a sequential one (the width is excluded from the config hash), and
-/// the other way around.
+/// Checkpoints are portable across fault-plane word widths (the width
+/// is excluded from the config hash): a run cut at one width resumes at
+/// the other to the uninterrupted 64-bit result. The counters are not
+/// compared — batch partitioning, and with it `sim.batches` and the
+/// gate figures, legitimately tracks the width.
 #[test]
 fn s1196_checkpoints_are_portable_across_widths() {
-    interrupt_resume_roundtrip_with("s1196", 20, 4, 1);
-    interrupt_resume_roundtrip_with("s1196", 20, 1, 4);
+    let c = benchmark("s1196");
+    let faults = FaultList::checkpoints(&c);
+    let t = lfsr_sequence(&c, T_LEN);
+    let pre = subsampled_targets(faults.len(), 20);
+    let at = |ww: WordWidth| {
+        let mut run = RunOptions::default();
+        run.sim.word_width = ww;
+        SynthesisConfig {
+            sequence_length: L_G,
+            run,
+            ..SynthesisConfig::default()
+        }
+    };
+    let full = Synthesis::new(&c, &t, &faults)
+        .config(at(WordWidth::W64))
+        .already_detected(&pre)
+        .run();
+    let dir = scratch_dir("interrupt-resume-word-width");
+    for (cut_ww, resume_ww) in [
+        (WordWidth::W128, WordWidth::W64),
+        (WordWidth::W64, WordWidth::W128),
+    ] {
+        let ckpt = dir.join(format!("cut-{}.ckpt", cut_ww.bits()));
+        let cut = Synthesis::new(&c, &t, &faults)
+            .config(at(cut_ww))
+            .already_detected(&pre)
+            .run_controlled(
+                &RunControl::default()
+                    .budget(Budget::default().fault_cycles(16_000))
+                    .checkpoint(&ckpt),
+            );
+        assert!(cut.is_truncated(), "the budget must cut the run");
+        let resumed = Synthesis::new(&c, &t, &faults)
+            .config(at(resume_ww))
+            .already_detected(&pre)
+            .resume_from(load_checkpoint(&ckpt))
+            .expect("the word width is excluded from the config hash")
+            .run_controlled(&RunControl::default());
+        assert!(!resumed.is_truncated(), "resume must complete");
+        let resumed = resumed.into_result();
+        let label = format!("cut at {cut_ww:?}, resumed at {resume_ww:?}");
+        assert_eq!(resumed.omega, full.omega, "{label}: Ω");
+        assert_eq!(resumed.detected, full.detected, "{label}: detected");
+        assert_eq!(resumed.abandoned, full.abandoned, "{label}: abandoned");
+        std::fs::remove_file(&ckpt).ok();
+    }
 }
 
 /// Cooperative cancellation inside the simulation kernel on s5378: a

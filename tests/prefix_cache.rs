@@ -3,11 +3,10 @@
 //! The cache (`SynthesisConfig::prefix_cache`) resumes candidate
 //! evaluations from the longest shared sequence prefix of an earlier
 //! committed evaluation — good-machine trace and checkpointed
-//! faulty-plane state both. Like speculation it is a wall-clock
-//! optimization only: `Ω`, the detection/abandonment flags, and every
-//! deterministic telemetry counter must be bit-identical with the cache
-//! on or off, at every worker count and wavefront width, and across an
-//! interrupt/resume boundary (the cache is rebuilt from nothing on
+//! faulty-plane state both. It is a wall-clock optimization only: `Ω`,
+//! the detection/abandonment flags, and every deterministic telemetry
+//! counter must be bit-identical with the cache on or off, at every
+//! worker count, and across an interrupt/resume boundary (the cache is rebuilt from nothing on
 //! resume and is deliberately excluded from the checkpoint
 //! configuration hash).
 
@@ -24,8 +23,7 @@ use wbist::sim::{FaultSim, PrefixTraceCache, SimOptions, TestSequence};
 type Counters = Vec<(String, u64)>;
 
 /// One synthesis run; returns the result, the deterministic counter
-/// snapshot, and the width-dependent prefix-reuse effort figures.
-#[allow(clippy::too_many_arguments)]
+/// snapshot, and the prefix-reuse effort figures.
 fn run_once(
     c: &Circuit,
     t: &TestSequence,
@@ -33,12 +31,10 @@ fn run_once(
     pre: Option<&[bool]>,
     base: &SynthesisConfig,
     threads: usize,
-    width: usize,
     cache: bool,
 ) -> (SynthesisResult, Counters, u64, u64) {
     let tel = Telemetry::enabled();
     let cfg = SynthesisConfig {
-        speculation: width,
         prefix_cache: cache,
         run: RunOptions::with_threads(threads).telemetry(tel.clone()),
         ..base.clone()
@@ -87,41 +83,37 @@ fn s1196_setup() -> (Circuit, TestSequence, FaultList, Vec<bool>, SynthesisConfi
 }
 
 /// Cache on vs cache off on a real benchmark: bit-identical results and
-/// deterministic counters across the worker-count × width grid, the
-/// cache actually fires (nonzero reuse), and at a fixed width the reuse
-/// figures are thread-invariant and reproducible.
+/// deterministic counters at every worker count, the cache actually
+/// fires (nonzero reuse), and the reuse figures are thread-invariant —
+/// the cache is written in walk order, never by worker scheduling.
 #[test]
 fn s1196_cache_is_invisible_and_nonzero() {
     let (c, t, faults, pre, base) = s1196_setup();
-    let (r0, c0, off_hits, off_skipped) = run_once(&c, &t, &faults, Some(&pre), &base, 1, 1, false);
+    let (r0, c0, off_hits, off_skipped) = run_once(&c, &t, &faults, Some(&pre), &base, 1, false);
     assert_eq!((off_hits, off_skipped), (0, 0), "cache off cannot reuse");
     let reference = (r0, c0);
     assert!(reference.0.omega.len() >= 2, "need a non-trivial walk");
 
-    let mut fixed_width: Option<(u64, u64)> = None;
-    for (threads, width) in [(1usize, 1usize), (1, 4), (2, 4), (4, 4), (4, 16)] {
+    let mut reuse: Option<(u64, u64)> = None;
+    for threads in [1usize, 2, 4] {
         let (r, counters, hits, skipped) =
-            run_once(&c, &t, &faults, Some(&pre), &base, threads, width, true);
+            run_once(&c, &t, &faults, Some(&pre), &base, threads, true);
         assert_identical(
-            &format!("cache on, threads={threads} width={width}"),
+            &format!("cache on, threads={threads}"),
             &reference,
             &(r, counters),
         );
         assert!(
             hits > 0 && skipped > 0,
-            "threads={threads} width={width}: the cache must fire on s1196; hits={hits} skipped={skipped}"
+            "threads={threads}: the cache must fire on s1196; hits={hits} skipped={skipped}"
         );
-        if width == 4 {
-            // Fixed width ⇒ fixed wavefront boundaries ⇒ reuse is a pure
-            // function of the walk, whatever the worker count.
-            match fixed_width {
-                None => fixed_width = Some((hits, skipped)),
-                Some(want) => assert_eq!(
-                    (hits, skipped),
-                    want,
-                    "threads={threads}: prefix counters must be thread-invariant at width 4"
-                ),
-            }
+        match reuse {
+            None => reuse = Some((hits, skipped)),
+            Some(want) => assert_eq!(
+                (hits, skipped),
+                want,
+                "threads={threads}: prefix counters must be thread-invariant"
+            ),
         }
     }
 }
@@ -224,68 +216,43 @@ fn diverge_at(owner: &TestSequence, d: usize, pi: usize) -> TestSequence {
     TestSequence::from_rows(rows).expect("rows share the owner's arity")
 }
 
-/// Cone-seeded good-trace resume is bit-identical to the full-rescan
-/// resume (`--no-cone-seeding`) and to a from-scratch evaluation at
-/// *every* divergence cycle on s1196, the accounting balances exactly
-/// (`evaluated + saved` equals the rescan's evaluation count at every
-/// cut), and seeding saves good-machine work overall.
+/// A resumed evaluation equals a from-scratch one at *every*
+/// divergence cycle on s1196: the prepared good trace (shared rows
+/// copied, suffix rescanned) gives the same detection times, the dense
+/// query resumed from faulty-plane snapshots gives the same detections,
+/// and the rebuild rescans every gate of exactly the suffix cycles.
 #[test]
-fn s1196_cone_seeding_identity_at_every_divergence() {
+fn s1196_resumed_trace_matches_from_scratch_at_every_divergence() {
     let c = synthetic::by_name("s1196").expect("known benchmark");
     let faults = FaultList::checkpoints(&c);
     let owner = Lfsr::new(24, 0xACE1).sequence(c.num_inputs(), 40);
-    let seeded = FaultSim::with_options(&c, SimOptions::with_threads(2));
-    let rescan = FaultSim::with_options(&c, SimOptions::with_threads(2).cone_seeding(false));
+    let sim = FaultSim::with_options(&c, SimOptions::with_threads(2));
+    let mut cache = PrefixTraceCache::new();
+    let prep = sim.prepare_sequence(Some(&cache), &owner);
+    let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+    cache.install(out.install);
 
-    // Each mode owns a cache primed with the same committed sequence.
-    let mut caches = Vec::new();
-    for sim in [&seeded, &rescan] {
-        let mut cache = PrefixTraceCache::new();
-        let prep = sim.prepare_sequence(Some(&cache), &owner);
-        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-        cache.install(out.install);
-        caches.push(cache);
-    }
-
-    let (mut evaluated_seeded, mut evaluated_rescan, mut saved) = (0u64, 0u64, 0u64);
     for d in 1..owner.len() {
         let probe = diverge_at(&owner, d, d % c.num_inputs());
-        let scratch = seeded.query(&faults).sequence(&probe).detected_indices();
-
-        let prep = seeded.prepare_sequence(Some(&caches[0]), &probe);
+        let prep = sim.prepare_sequence(Some(&cache), &probe);
         assert_eq!(prep.reused_cycles(), d, "divergence must land at {d}");
-        assert!(prep.cone_seeded(), "resumed rebuild must be cone-seeded");
-        let out = seeded
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&caches[0])
-            .outcome();
-        assert_eq!(out.detected, scratch, "cone-seeded resume at cut {d}");
-        let balance = prep.trace_gates_evaluated() + prep.trace_gates_saved();
-        evaluated_seeded += prep.trace_gates_evaluated();
-        saved += prep.trace_gates_saved();
-
-        let prep = rescan.prepare_sequence(Some(&caches[1]), &probe);
-        assert_eq!(prep.reused_cycles(), d, "same cache, same divergence");
-        assert!(!prep.cone_seeded(), "no_cone_seeding must force the rescan");
-        let out = rescan
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&caches[1])
-            .outcome();
-        assert_eq!(out.detected, scratch, "full-rescan resume at cut {d}");
         assert_eq!(
-            balance,
             prep.trace_gates_evaluated(),
-            "evaluated + saved must equal the full-rescan count at cut {d}"
+            (c.num_gates() * (owner.len() - d)) as u64,
+            "the suffix rescan at cut {d}"
         );
-        evaluated_rescan += prep.trace_gates_evaluated();
+        assert_eq!(
+            sim.query(&faults).prepared(&prep).detection_times(),
+            sim.query(&faults).sequence(&probe).detection_times(),
+            "resumed trace at cut {d}"
+        );
+        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+        assert_eq!(
+            out.detected,
+            sim.query(&faults).sequence(&probe).detected_indices(),
+            "resumed dense query at cut {d}"
+        );
     }
-    assert!(
-        saved > 0,
-        "cone seeding must save good-machine work on s1196"
-    );
-    assert_eq!(evaluated_seeded + saved, evaluated_rescan);
 }
 
 /// Past the raw-capture cap (`batches × flip-flops > 2^16`, the s35932
@@ -335,12 +302,12 @@ fn spilled_snapshots_resume_bit_identical_past_the_raw_cap() {
 }
 
 proptest! {
-    /// Randomized divergences on s27: the cone-seeded resume and the
-    /// full-rescan resume produce identical detections at any cut
-    /// cycle — both equal to the from-scratch evaluation — whichever
-    /// input stream diverges.
+    /// Randomized divergences on s27: the resumed evaluation equals
+    /// the from-scratch one at any cut cycle, whichever input stream
+    /// diverges — detection times through the resumed trace, and
+    /// detections through the resumed dense query.
     #[test]
-    fn s27_cone_seeding_is_invisible(
+    fn s27_resume_matches_from_scratch_at_any_cut(
         seed in 1u32..0xFFFF,
         t_len in 4usize..24,
         cut_sel in 0usize..64,
@@ -351,27 +318,24 @@ proptest! {
         let faults = FaultList::checkpoints(&c);
         let owner = Lfsr::new(16, seed).sequence(c.num_inputs(), t_len);
         let probe = diverge_at(&owner, cut, pi_sel % c.num_inputs());
-        let scratch = FaultSim::new(&c).query(&faults).sequence(&probe).detected_indices();
-        for cone in [true, false] {
-            let sim = FaultSim::with_options(
-                &c,
-                SimOptions::with_threads(1).cone_seeding(cone),
-            );
-            let mut cache = PrefixTraceCache::new();
-            let prep = sim.prepare_sequence(Some(&cache), &owner);
-            let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-            cache.install(out.install);
-            let prep = sim.prepare_sequence(Some(&cache), &probe);
-            prop_assert_eq!(prep.reused_cycles(), cut);
-            prop_assert_eq!(prep.cone_seeded(), cone);
-            let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-            prop_assert_eq!(&out.detected, &scratch, "cone seeding {}", cone);
-        }
+        let sim = FaultSim::with_options(&c, SimOptions::with_threads(1));
+        let mut cache = PrefixTraceCache::new();
+        let prep = sim.prepare_sequence(Some(&cache), &owner);
+        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+        cache.install(out.install);
+        let prep = sim.prepare_sequence(Some(&cache), &probe);
+        prop_assert_eq!(prep.reused_cycles(), cut);
+        prop_assert_eq!(
+            sim.query(&faults).prepared(&prep).detection_times(),
+            sim.query(&faults).sequence(&probe).detection_times()
+        );
+        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+        prop_assert_eq!(out.detected, sim.query(&faults).sequence(&probe).detected_indices());
     }
 
     /// Randomized configurations on s27: a cache-on run at a randomly
-    /// drawn worker-count/width combination is bit-identical to the
-    /// cache-off sequential walk — detections, abandonments, and the
+    /// drawn worker count is bit-identical to the cache-off
+    /// single-threaded walk — detections, abandonments, and the
     /// deterministic counter trace.
     #[test]
     fn random_configs_are_cache_invariant(
@@ -380,7 +344,7 @@ proptest! {
         lg in 24usize..80,
         sample_size in 1usize..8,
         sample_sel in 0u8..2,
-        grid in 0usize..9,
+        threads in 1usize..5,
     ) {
         let c = s27::circuit();
         let faults = FaultList::checkpoints(&c);
@@ -391,10 +355,8 @@ proptest! {
             sample_size,
             ..SynthesisConfig::default()
         };
-        let threads = [1usize, 2, 4][grid / 3];
-        let width = [1usize, 4, 16][grid % 3];
-        let (r0, c0, _, _) = run_once(&c, &t, &faults, None, &base, 1, 1, false);
-        let (r1, c1, _, _) = run_once(&c, &t, &faults, None, &base, threads, width, true);
+        let (r0, c0, _, _) = run_once(&c, &t, &faults, None, &base, 1, false);
+        let (r1, c1, _, _) = run_once(&c, &t, &faults, None, &base, threads, true);
         prop_assert_eq!(&r1.omega, &r0.omega);
         prop_assert_eq!(&r1.detected, &r0.detected);
         prop_assert_eq!(&r1.abandoned, &r0.abandoned);

@@ -131,17 +131,6 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The event-driven and levelized logic simulators agree on random
-    /// circuits and stimuli.
-    #[test]
-    fn event_sim_equals_levelized(seed in any::<u64>()) {
-        let c = SyntheticSpec::new("ev", 5, 3, 4, 45, seed % 64).build();
-        let seq = Lfsr::new(17, (seed % 9999) as u32 + 1).sequence(5, 48);
-        let a = wbist::sim::LogicSim::new(&c).outputs(&seq).expect("ok");
-        let b = wbist::sim::EventSim::new(&c).outputs(&seq).expect("ok");
-        prop_assert_eq!(a, b);
-    }
-
     /// The MISR is linear: absorbing a stream then comparing signatures
     /// is deterministic and reset is complete.
     #[test]

@@ -382,3 +382,55 @@ fn corrupt_checkpoint_degrades_to_fresh_run() {
     assert_eq!(tel.counter("serve.checkpoints_rejected"), 1);
     assert!(buf.text().contains("checkpoint-rejected"));
 }
+
+/// Hostile input: `"lg": 0` is refused at the protocol layer — no job
+/// is created, so nothing can reach the library's `L_G > 0` assert.
+#[test]
+fn zero_lg_submit_is_a_protocol_error() {
+    let _guard = failpoints_serialized();
+    let tel = Telemetry::enabled();
+    let (server, _, workers) = server_with(ServeConfig {
+        telemetry: tel.clone(),
+        ..ServeConfig::default()
+    });
+    must(&server, r#"{"op":"register","name":"c","builtin":"s27"}"#);
+    let (reply, flow) =
+        server.handle_line(r#"{"op":"submit","id":"zero","kind":"synth","circuit":"c","lg":0}"#);
+    assert_eq!(flow, Flow::Continue);
+    assert!(!ok(&reply), "lg 0 must be rejected: {}", reply.render());
+    assert!(server.job_snapshot("zero").is_none(), "no job was created");
+    server.finish(workers);
+    assert_eq!(tel.counter("serve.job_panics"), 0);
+    assert_eq!(tel.counter("serve.jobs_retried"), 0);
+}
+
+/// Hostile input: rows whose width differs from the circuit's input
+/// count fail the job once with a message — for sim and synth jobs
+/// alike — instead of panicking inside the simulator and being retried.
+#[test]
+fn wrong_width_rows_fail_once_without_panic() {
+    let _guard = failpoints_serialized();
+    let tel = Telemetry::enabled();
+    let (server, _, workers) = server_with(ServeConfig {
+        telemetry: tel.clone(),
+        retry_backoff_ms: 1,
+        ..ServeConfig::default()
+    });
+    must(&server, r#"{"op":"register","name":"c","builtin":"s27"}"#);
+    for (id, kind) in [("narrow-sim", "sim"), ("narrow-synth", "synth")] {
+        must(
+            &server,
+            &format!(
+                r#"{{"op":"submit","id":"{id}","kind":"{kind}","circuit":"c","rows":["01","10"]}}"#
+            ),
+        );
+        let snapshot = wait_for(&server, id, "failed", LONG);
+        let error = snapshot.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("inputs"), "{id}: {error}");
+        assert_eq!(snapshot.get("retries").and_then(Json::as_u64), Some(0));
+    }
+    server.finish(workers);
+    assert_eq!(tel.counter("serve.jobs_failed"), 2);
+    assert_eq!(tel.counter("serve.job_panics"), 0);
+    assert_eq!(tel.counter("serve.jobs_retried"), 0);
+}
