@@ -33,9 +33,12 @@
 //!
 //! One row per circuit. `candidates_per_sec` divides the deterministic
 //! `select.candidates_tried` counter by the wall clock;
-//! `prefix_hits`/`cycles_skipped` report the prefix-trace cache's reuse
-//! and `trace_gates_evaluated` the good-machine gates its resumed
-//! rebuilds rescanned (every gate of every suffix cycle);
+//! `prefix_hits`/`cycles_skipped` report the dense queries that resumed
+//! from the prefix cache's faulty-plane snapshots and the fault-batch
+//! cycles they skipped; `trace_gates_evaluated` counts the walk's
+//! good-machine gate evaluations (every gate of every cycle, once per
+//! sweep), and `good_sweeps`/`good_lanes` the fault-free sweeps and the
+//! sequences they carried, over the whole run;
 //! `snapshot_spills` and `snapshot_bytes` count compressed faulty-plane
 //! snapshots on dense queries past the raw capture cap, and
 //! `snapshot_capture_denied` counts dense evaluations past even the
@@ -207,6 +210,8 @@ fn main() {
         let prefix_hits = tel.effort("select.prefix_hits");
         let cycles_skipped = tel.effort("select.cycles_skipped");
         let trace_gates_evaluated = tel.effort("select.trace_gates_evaluated");
+        let good_sweeps = tel.effort("sim.good_sweeps");
+        let good_lanes = tel.effort("sim.good_lanes");
         let snapshot_spills = tel.effort("select.snapshot_spills");
         let snapshot_bytes = tel.effort("select.snapshot_bytes");
         let capture_denied = tel.counter("select.snapshot_capture_denied");
@@ -252,6 +257,8 @@ fn main() {
             ("prefix_hits", prefix_hits.into()),
             ("cycles_skipped", cycles_skipped.into()),
             ("trace_gates_evaluated", trace_gates_evaluated.into()),
+            ("good_sweeps", good_sweeps.into()),
+            ("good_lanes", good_lanes.into()),
             ("snapshot_spills", snapshot_spills.into()),
             ("snapshot_bytes", snapshot_bytes.into()),
             ("snapshot_capture_denied", capture_denied.into()),

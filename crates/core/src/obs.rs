@@ -21,8 +21,9 @@
 //! faults detected by the full `Ω`.
 
 use crate::select::SelectedAssignment;
+use crate::PREPARE_BATCH;
 use wbist_netlist::{Circuit, FaultList, NetId};
-use wbist_sim::{FaultSim, RunOptions};
+use wbist_sim::{FaultSim, RunOptions, TestSequence};
 
 /// Options for [`observation_point_tradeoff`].
 #[derive(Debug, Clone)]
@@ -109,15 +110,18 @@ pub fn observation_point_tradeoff(
     let _span = tel.span("obs");
     let sim = FaultSim::with_run_options(circuit, &opts.run);
 
-    // Detection matrix: per assignment, per fault.
-    let det: Vec<Vec<bool>> = omega
-        .iter()
-        .map(|sel| {
-            sim.query(faults)
-                .sequence(&sel.sequence(sequence_length))
-                .detected()
-        })
-        .collect();
+    // Detection matrix: per assignment, per fault, with the good traces
+    // prepared a batch of assignments per sweep.
+    let mut det: Vec<Vec<bool>> = Vec::with_capacity(omega.len());
+    for chunk in omega.chunks(PREPARE_BATCH) {
+        let seqs: Vec<TestSequence> = chunk
+            .iter()
+            .map(|sel| sel.sequence(sequence_length))
+            .collect();
+        for prep in sim.prepare_sequences(&seqs) {
+            det.push(sim.query(faults).prepared(&prep).detected());
+        }
+    }
     let covered_by_omega: Vec<bool> = (0..faults.len())
         .map(|i| det.iter().any(|row| row[i]))
         .collect();

@@ -7,10 +7,16 @@
 //! backwards, each assignment's sequence is fault-simulated against the
 //! still-uncovered fault set; an assignment detecting nothing new is
 //! dropped.
+//!
+//! The walk order is fixed up front, so the good-machine traces are
+//! prepared four sequences per sweep as the walk reaches them; each is
+//! still queried one at a time against the live set.
 
 use crate::select::SelectedAssignment;
+use crate::PREPARE_BATCH;
+use std::collections::VecDeque;
 use wbist_netlist::{Circuit, FaultList};
-use wbist_sim::{FaultSim, RunOptions};
+use wbist_sim::{FaultSim, RunOptions, TestSequence};
 
 /// Options for [`reverse_order_prune`].
 #[derive(Debug, Clone)]
@@ -60,8 +66,9 @@ pub fn reverse_order_prune(
     let sim = FaultSim::with_run_options(circuit, &opts.run);
     let mut detected = vec![false; faults.len()];
     let mut keep = vec![false; omega.len()];
+    let mut ahead = VecDeque::new();
 
-    for (k, sel) in omega.iter().enumerate().rev() {
+    for k in (0..omega.len()).rev() {
         if let Some(reason) = opts.run.cancel.cancelled() {
             // Budget tripped: the assignments not yet examined stay kept
             // (only proven-redundant ones may be dropped), so the partial
@@ -77,8 +84,25 @@ pub fn reverse_order_prune(
             break;
         }
         let live_faults: FaultList = live.iter().map(|&i| faults.faults()[i]).collect();
-        let tg = sel.sequence(opts.sequence_length);
-        let flags = sim.query(&live_faults).sequence(&tg).detected();
+        if ahead.is_empty() {
+            let seqs: Vec<TestSequence> = omega[k.saturating_sub(PREPARE_BATCH - 1)..=k]
+                .iter()
+                .rev()
+                .map(|sel| sel.sequence(opts.sequence_length))
+                .collect();
+            ahead.extend(sim.prepare_sequences(&seqs));
+        }
+        let prep = ahead.pop_front().expect("a batch was just prepared");
+        let flags = sim.query(&live_faults).prepared(&prep).detected();
+        if let Some(reason) = opts.run.cancel.cancelled() {
+            // Tripped inside this query: it may have stopped before its
+            // detections, so this assignment is not proven redundant
+            // either, and which faults a cut-short query flags depends
+            // on thread timing.
+            keep[..=k].fill(true);
+            crate::runctl::note_truncation(&tel, reason);
+            break;
+        }
         let mut newly = 0;
         for (j, &i) in live.iter().enumerate() {
             if flags[j] {

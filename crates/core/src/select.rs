@@ -31,8 +31,12 @@ use crate::runctl::{
     self, Checkpoint, CheckpointError, Cursor, Outcome, RunControl, TruncationReason,
 };
 use crate::weights::WeightSet;
+use crate::PREPARE_BATCH;
 use wbist_netlist::{Circuit, Fault, FaultList};
-use wbist_sim::{CacheInstall, CancelToken, FaultSim, PrefixTraceCache, RunOptions, TestSequence};
+use wbist_sim::{
+    CacheInstall, CancelToken, FaultSim, PrefixTraceCache, PreparedSequence, RunOptions,
+    TestSequence,
+};
 use wbist_telemetry::Telemetry;
 
 /// Configuration of the synthesis procedure.
@@ -444,135 +448,137 @@ impl<'a> Synthesis<'a> {
                         sets.ensure_full_length_rank();
                     }
                     let first = if ls == ls0 { j0 } else { 0 };
-                    for rank in first..sets.max_rank() {
-                        if let Some(r) = token.cancelled() {
-                            truncated = Some(r);
-                            break 'ls;
-                        }
-                        // Only ranks holding a length-`L_S` subsequence
-                        // are admissible; the rest are skipped uncounted.
-                        if !sets.rank_has_length(rank, ls) {
-                            continue;
-                        }
-                        let Some(assignment) = sets.assignment_at(&s, rank) else {
-                            continue;
-                        };
-                        if segment.is_none() {
-                            live.compact();
-                            if let Some(cache) = cache.as_mut() {
-                                cache.clear();
+                    // Only ranks holding a length-`L_S` subsequence are
+                    // admissible; the rest are skipped uncounted.
+                    let mut ranks = (first..sets.max_rank())
+                        .filter(|&rank| sets.rank_has_length(rank, ls))
+                        .filter_map(|rank| sets.assignment_at(&s, rank).map(|a| (rank, a)))
+                        .peekable();
+                    // The next admissible ranks are prepared in one sweep
+                    // and evaluated in rank order. A trace depends only on
+                    // its sequence, so a batch survives keeps and dies
+                    // with the set.
+                    while ranks.peek().is_some() {
+                        let batch: Vec<_> = ranks.by_ref().take(PREPARE_BATCH).collect();
+                        for (rank, assignment, prep) in
+                            prepare_batch(&sim, batch, cfg.sequence_length, &tel)
+                        {
+                            if let Some(r) = token.cancelled() {
+                                truncated = Some(r);
+                                break 'ls;
                             }
-                            let seg_live = live.live().to_vec();
-                            let seg_faults: FaultList =
-                                seg_live.iter().map(|&i| faults.faults()[i]).collect();
-                            let sample = cfg
-                                .sample_first
-                                .then(|| screening_sample(faults, &seg_live, fi, cfg.sample_size));
-                            segment = Some((seg_live, seg_faults, sample));
-                        }
-                        let seg = segment.as_ref().expect("segment snapshot just built");
-                        let tg = assignment.generate(cfg.sequence_length);
-                        let eval =
-                            evaluate(&sim, &tg, seg.2.as_ref(), &seg.1, cache.as_ref(), &tel);
-                        // Read after the queries: the kernels poll the same
-                        // token per cycle, so a cut-short query implies the
-                        // trip is visible here.
-                        let cancelled = token.cancelled().is_some();
-                        tel.add("select.candidates_tried", 1);
-                        if eval.snapshot_capture_denied {
-                            // Deterministic: the denial is a pure function
-                            // of the query shape (batches × flip-flops over
-                            // the spill cap), replayed identically on resume.
-                            tel.add("select.snapshot_capture_denied", 1);
-                            if tel.is_enabled() && !capture_denied_reported {
-                                capture_denied_reported = true;
-                                tel.event(
-                                    "select.snapshot_capture_denied",
-                                    &[("rank", rank as u64)],
-                                );
+                            if segment.is_none() {
+                                live.compact();
+                                if let Some(cache) = cache.as_mut() {
+                                    cache.clear();
+                                }
+                                let seg_live = live.live().to_vec();
+                                let seg_faults: FaultList =
+                                    seg_live.iter().map(|&i| faults.faults()[i]).collect();
+                                let sample = cfg.sample_first.then(|| {
+                                    screening_sample(faults, &seg_live, fi, cfg.sample_size)
+                                });
+                                segment = Some((seg_live, seg_faults, sample));
                             }
-                        }
-                        if eval.screen_skip {
-                            tel.add("select.sample_skips", 1);
+                            let seg = segment.as_ref().expect("segment snapshot just built");
+                            let eval =
+                                evaluate(&sim, &prep, seg.2.as_ref(), &seg.1, cache.as_ref(), &tel);
+                            // Read after the queries: the kernels poll the same
+                            // token per cycle, so a cut-short query implies the
+                            // trip is visible here.
+                            let cancelled = token.cancelled().is_some();
+                            tel.add("select.candidates_tried", 1);
+                            if eval.snapshot_capture_denied {
+                                // Deterministic: the denial is a pure function
+                                // of the query shape (batches × flip-flops over
+                                // the spill cap), replayed identically on resume.
+                                tel.add("select.snapshot_capture_denied", 1);
+                                if tel.is_enabled() && !capture_denied_reported {
+                                    capture_denied_reported = true;
+                                    tel.event(
+                                        "select.snapshot_capture_denied",
+                                        &[("rank", rank as u64)],
+                                    );
+                                }
+                            }
+                            if eval.screen_skip {
+                                tel.add("select.sample_skips", 1);
+                                if cancelled {
+                                    truncated = token.cancelled();
+                                    break 'ls;
+                                }
+                                continue;
+                            }
+                            // The full simulation ran: its flags are genuine
+                            // detections (kept, result stays valid) even when
+                            // the run was cut short.
+                            let mut newly = 0usize;
+                            for &k in &eval.newly {
+                                let gi = seg.0[k];
+                                if !detected[gi] {
+                                    detected[gi] = true;
+                                    live.mark_detected(gi);
+                                    newly += 1;
+                                }
+                            }
                             if cancelled {
+                                // Possibly incomplete, so this rank must not
+                                // enter Ω or a checkpoint — a resumed run
+                                // replays it in full.
                                 truncated = token.cancelled();
                                 break 'ls;
                             }
-                            // Publish the (trace-only) evaluation for
-                            // prefix reuse; a cancelled one never installs.
-                            if let (Some(cache), Some(inst)) = (cache.as_mut(), eval.install) {
-                                cache.install(inst);
+                            if newly == 0 {
+                                // Nothing new: publish the evaluation for
+                                // prefix reuse by later ranks (a cancelled
+                                // one never gets here).
+                                if let (Some(cache), Some(inst)) = (cache.as_mut(), eval.install) {
+                                    cache.install(inst);
+                                }
+                                continue;
                             }
-                            continue;
-                        }
-                        // The full simulation ran: its flags are genuine
-                        // detections (kept, result stays valid) even when
-                        // the run was cut short.
-                        let mut newly = 0usize;
-                        for &k in &eval.newly {
-                            let gi = seg.0[k];
-                            if !detected[gi] {
-                                detected[gi] = true;
-                                live.mark_detected(gi);
-                                newly += 1;
+                            tel.add("select.assignments_kept", 1);
+                            if tel.is_enabled() {
+                                tel.point("fault_drop", live.undetected());
+                                tel.event(
+                                    "select.kept",
+                                    &[
+                                        ("detection_time", u as u64),
+                                        ("rank", rank as u64),
+                                        ("newly_detected", newly as u64),
+                                    ],
+                                );
                             }
-                        }
-                        if cancelled {
-                            // Possibly incomplete, so this rank must not
-                            // enter Ω or a checkpoint — a resumed run
-                            // replays it in full.
-                            truncated = token.cancelled();
-                            break 'ls;
-                        }
-                        if newly == 0 {
-                            // Nothing new: publish the evaluation for
-                            // prefix reuse by later ranks.
-                            if let (Some(cache), Some(inst)) = (cache.as_mut(), eval.install) {
-                                cache.install(inst);
-                            }
-                            continue;
-                        }
-                        tel.add("select.assignments_kept", 1);
-                        if tel.is_enabled() {
-                            tel.point("fault_drop", live.undetected());
-                            tel.event(
-                                "select.kept",
-                                &[
-                                    ("detection_time", u as u64),
-                                    ("rank", rank as u64),
-                                    ("newly_detected", newly as u64),
-                                ],
-                            );
-                        }
-                        omega.push(SelectedAssignment {
-                            assignment,
-                            detection_time: u,
-                            rank,
-                            newly_detected: newly,
-                        });
-                        write_checkpoint(
-                            &tel,
-                            &omega,
-                            &detected,
-                            &abandoned,
-                            &s,
-                            Some(Cursor {
-                                fault: fi,
-                                u,
-                                ls,
+                            omega.push(SelectedAssignment {
+                                assignment,
+                                detection_time: u,
                                 rank,
-                            }),
-                        );
-                        if let Some(max) = token.max_assignments() {
-                            if omega.len() >= max {
-                                token.cancel(TruncationReason::MaxAssignments);
-                                truncated = Some(TruncationReason::MaxAssignments);
+                                newly_detected: newly,
+                            });
+                            write_checkpoint(
+                                &tel,
+                                &omega,
+                                &detected,
+                                &abandoned,
+                                &s,
+                                Some(Cursor {
+                                    fault: fi,
+                                    u,
+                                    ls,
+                                    rank,
+                                }),
+                            );
+                            if let Some(max) = token.max_assignments() {
+                                if omega.len() >= max {
+                                    token.cancel(TruncationReason::MaxAssignments);
+                                    truncated = Some(TruncationReason::MaxAssignments);
+                                    break 'ls;
+                                }
+                            }
+                            segment = None;
+                            if live.time_done(u) {
                                 break 'ls;
                             }
-                        }
-                        segment = None;
-                        if live.time_done(u) {
-                            break 'ls;
                         }
                     }
                 }
@@ -645,6 +651,27 @@ fn screening_sample(faults: &FaultList, live: &[usize], fi: usize, size: usize) 
     FaultList::from_faults(picked)
 }
 
+/// Generates the sequences of `batch` (rank, assignment) pairs and
+/// prepares their good traces in one lane-parallel sweep, recording the
+/// sweep's good-machine gate evaluations.
+fn prepare_batch(
+    sim: &FaultSim<'_>,
+    batch: Vec<(usize, WeightAssignment)>,
+    len: usize,
+    tel: &Telemetry,
+) -> Vec<(usize, WeightAssignment, PreparedSequence)> {
+    let seqs: Vec<TestSequence> = batch.iter().map(|(_, a)| a.generate(len)).collect();
+    tel.add_effort(
+        "select.trace_gates_evaluated",
+        (sim.circuit().num_gates() * len) as u64,
+    );
+    batch
+        .into_iter()
+        .zip(sim.prepare_sequences(&seqs))
+        .map(|((rank, a), prep)| (rank, a, prep))
+        .collect()
+}
+
 /// What evaluating one candidate `T_G` produced.
 struct Evaluation {
     /// The screening sample rejected the sequence (no full simulation).
@@ -657,85 +684,53 @@ struct Evaluation {
     install: Option<CacheInstall>,
 }
 
-/// Evaluates one candidate: screen `tg` against `sample`, then run the
-/// dense query against the segment's live list. With `cache`, the
-/// sequence is first *prepared* against the prefix cache — the good
-/// trace resumes at the first row that differs from a cached sequence,
-/// the screen and the dense query share that one trace, and the dense
-/// query resumes every fault batch from the latest faulty-plane
-/// snapshot inside the shared prefix. Resumed evaluations are
-/// bit-identical to from-scratch ones, so the cache is invisible to the
-/// deterministic trace; its reuse figures go to the effort space.
+/// Evaluates one prepared candidate: screen it against `sample`, then
+/// run the dense query against the segment's live list. Both queries
+/// share the prepared good trace. With `cache`, the dense query resumes
+/// every fault batch from the latest faulty-plane snapshot inside the
+/// input prefix it shares with a cached sequence, and captures its own
+/// snapshots for installing. Resumed evaluations are bit-identical to
+/// from-scratch ones, so the cache is invisible to the deterministic
+/// trace; its reuse figures go to the effort space.
 fn evaluate(
     sim: &FaultSim<'_>,
-    tg: &TestSequence,
+    prep: &PreparedSequence,
     sample: Option<&FaultList>,
     live_faults: &FaultList,
     cache: Option<&PrefixTraceCache>,
     tel: &Telemetry,
 ) -> Evaluation {
-    let Some(cache) = cache else {
-        let screen_skip = sample.is_some_and(|sample| !sim.query(sample).sequence(tg).any());
-        let newly = if screen_skip || live_faults.is_empty() {
-            Vec::new()
-        } else {
-            sim.query(live_faults).sequence(tg).detected_indices()
-        };
+    let screen_skip = sample.is_some_and(|sample| !sim.query(sample).prepared(prep).any());
+    if screen_skip || live_faults.is_empty() {
         return Evaluation {
             screen_skip,
-            newly,
+            newly: Vec::new(),
             snapshot_capture_denied: false,
             install: None,
         };
-    };
+    }
+    let mut query = sim.query(live_faults).prepared(prep);
+    if let Some(cache) = cache {
+        query = query.cache(cache);
+    }
+    let out = query.outcome();
     let effort = |name, n: u64| {
         if n > 0 {
             tel.add_effort(name, n);
         }
     };
-    let prep = sim.prepare_sequence(Some(cache), tg);
-    let mut prefix_hits = 0u64;
-    let mut cycles_skipped = prep.reused_cycles() as u64;
-    if cycles_skipped > 0 {
-        prefix_hits += 1;
+    if out.resumed_cycles > 0 {
+        effort("select.prefix_hits", 1);
+        effort("select.cycles_skipped", out.resumed_cycles);
     }
-    effort("select.trace_gates_evaluated", prep.trace_gates_evaluated());
-    let screen_skip = sample.is_some_and(|sample| !sim.query(sample).prepared(&prep).any());
-    let eval = if screen_skip || live_faults.is_empty() {
-        Evaluation {
-            screen_skip,
-            newly: Vec::new(),
-            snapshot_capture_denied: false,
-            install: Some(sim.trace_install(&prep)),
-        }
-    } else {
-        if sample.is_some() {
-            // The dense query reuses the good trace the screen already
-            // computed — one good simulation for the pair instead of two.
-            prefix_hits += 1;
-            cycles_skipped += tg.len() as u64;
-        }
-        let out = sim
-            .query(live_faults)
-            .prepared(&prep)
-            .cache(cache)
-            .outcome();
-        if out.resumed_cycles > 0 {
-            prefix_hits += 1;
-            cycles_skipped += out.resumed_cycles;
-        }
-        effort("select.snapshot_spills", out.snapshot_spills);
-        effort("select.snapshot_bytes", out.snapshot_bytes);
-        Evaluation {
-            screen_skip,
-            newly: out.detected,
-            snapshot_capture_denied: out.snapshot_capture_denied,
-            install: Some(out.install),
-        }
-    };
-    effort("select.prefix_hits", prefix_hits);
-    effort("select.cycles_skipped", cycles_skipped);
-    eval
+    effort("select.snapshot_spills", out.snapshot_spills);
+    effort("select.snapshot_bytes", out.snapshot_bytes);
+    Evaluation {
+        screen_skip,
+        newly: out.detected,
+        snapshot_capture_denied: out.snapshot_capture_denied,
+        install: out.install,
+    }
 }
 
 #[cfg(test)]

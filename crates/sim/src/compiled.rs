@@ -17,9 +17,14 @@
 //!    loop merges them with cursors: zero hashing, and gates without
 //!    injections pay a single integer compare.
 //! 3. [`GoodTrace`] + dirty-set evaluation — the fault-free machine is
-//!    simulated once per query, branch-free over a two-bit ones/zeros
-//!    code per net and bit packed 64 nets per word per cycle. Each batch
-//!    then runs *event-driven* against that shared trace: a net is
+//!    simulated once per sequence, bit packed 64 nets per word per
+//!    cycle. One branch-free topological sweep builds the traces of up
+//!    to [`SWEEP_LANES`] sequences at once
+//!    ([`CompiledCircuit::good_traces`]): each net holds one byte with
+//!    sequence `l`'s ones bit in the low half and its zeros bit in the
+//!    high half, so a gate costs the same whatever number of sequences
+//!    the sweep carries. Each batch
+//!    then runs *event-driven* against a shared trace: a net is
 //!    **dirty** in a cycle when its planes differ from the fault-free
 //!    value on a live machine bit, and a gate is evaluated only when one
 //!    of its operands is dirty (or it carries a live injection). Clean
@@ -48,7 +53,6 @@ use crate::logic::Logic3;
 use crate::plane::Planes;
 use crate::sequence::TestSequence;
 use crate::word::Word;
-use std::ops::Range;
 use wbist_netlist::{Circuit, Driver, Fault, FaultSite, GateKind};
 
 /// Which flat [`Schedule`] array a conditional injection overlays.
@@ -123,74 +127,87 @@ pub(crate) struct CompiledCircuit {
     code_ops: Vec<CodeOp>,
 }
 
-/// The fault-free machine's per-net value in [`CompiledCircuit::good_trace`]:
-/// bit 0 set means logic 1, bit 1 set means logic 0, neither means `X` —
-/// the one-bit projection of the fault planes' `(ones, zeros)` pair.
-type Code = u8;
-
-const CODE_X: Code = 0;
-
-#[inline]
-fn code_of(v: Logic3) -> Code {
-    match v {
-        Logic3::One => 1,
-        Logic3::Zero => 2,
-        Logic3::X => CODE_X,
-    }
-}
-
-#[inline]
-fn code_of_bool(b: bool) -> Code {
-    2 - Code::from(b)
-}
-
-#[inline]
-fn logic_of(c: Code) -> Logic3 {
-    match c {
-        1 => Logic3::One,
-        2 => Logic3::Zero,
-        _ => Logic3::X,
-    }
-}
-
-/// How one gate combines three folds of its operand codes: `all` (AND
-/// of the codes — "every operand is 1" / "every operand is 0"), `any`
-/// (OR — "some operand is 1" / "some operand is 0") and `xor` (the
-/// three-valued XOR fold). AND takes its 1 from `all` and its 0 from
+/// How one gate combines three folds of its operand values: `all` (AND
+/// — "every operand is 1" / "every operand is 0"), `any` (OR — "some
+/// operand is 1" / "some operand is 0") and `xor` (the three-valued XOR
+/// fold). Each field is a plane mask over a sweep byte (see [`LOW`]):
+/// its low half takes the fold's ones plane into the result, its high
+/// half the zeros plane. AND takes its 1 from `all` and its 0 from
 /// `any`, OR the other way round, XOR everything from `xor`; NOT and BUF
 /// read their single operand through the AND recipe. An inverting gate
-/// then swaps the two code bits. Every gate runs the same instructions,
-/// so the topo-order sweep has no data-dependent branch.
+/// then swaps the two planes. Every gate runs the same instructions, so
+/// the topo-order sweep has no data-dependent branch.
 #[derive(Debug, Clone, Copy)]
 struct CodeOp {
-    all: Code,
-    any: Code,
-    xor: Code,
-    swap: Code,
+    all: u8,
+    any: u8,
+    xor: u8,
+    swap: u8,
 }
 
 impl CodeOp {
     fn of(kind: GateKind) -> CodeOp {
+        const ONES: u8 = 0x0F;
+        const ZEROS: u8 = 0xF0;
         let (all, any, xor) = match kind {
-            GateKind::And | GateKind::Nand | GateKind::Not | GateKind::Buf => (1, 2, 0),
-            GateKind::Or | GateKind::Nor => (2, 1, 0),
-            GateKind::Xor | GateKind::Xnor => (0, 0, 3),
+            GateKind::And | GateKind::Nand | GateKind::Not | GateKind::Buf => (ONES, ZEROS, 0),
+            GateKind::Or | GateKind::Nor => (ZEROS, ONES, 0),
+            GateKind::Xor | GateKind::Xnor => (0, 0, ONES | ZEROS),
         };
         CodeOp {
             all,
             any,
             xor,
-            swap: if kind.inverting() { 3 } else { 0 },
+            swap: if kind.inverting() { ONES | ZEROS } else { 0 },
         }
     }
 }
 
-/// Three-valued XOR on codes: 1 when the known operands differ, 0 when
-/// they agree, `X` when either is `X`.
+/// The ones-plane (low) half of a sweep byte: one net's value in
+/// [`SWEEP_LANES`] sequences, sequence `l` is 1 at bit `l`, 0 at bit
+/// `l + 4` and `X` at neither. Keeping both planes in one byte makes a
+/// net one load and keeps the sweep's working set — a byte per net — in
+/// cache.
+const LOW: u8 = 0x0F;
+
+/// Sequences one fault-free sweep carries: the four lanes of a sweep
+/// byte.
+pub const SWEEP_LANES: usize = 4;
+
+/// The sweep byte with its halves exchanged: ones and zeros swap places.
 #[inline]
-fn xor_code(a: Code, b: Code) -> Code {
-    let (a1, a0, b1, b0) = (a & 1, a >> 1, b & 1, b >> 1);
-    ((a1 & b0) | (a0 & b1)) | (((a1 & b1) | (a0 & b0)) << 1)
+fn swap_halves(b: u8) -> u8 {
+    b.rotate_left(4)
+}
+
+/// Three-valued XOR of two sweep bytes: 1 where the known operands
+/// differ, 0 where they agree, `X` where either is `X`.
+#[inline]
+fn xor_lanes(a: u8, b: u8) -> u8 {
+    // Each half of `ones` is (a1 & b0) | (a0 & b1), of `zeros`
+    // (a1 & b1) | (a0 & b0).
+    let differ = a & swap_halves(b);
+    let agree = a & b;
+    ((differ | swap_halves(differ)) & LOW) | ((agree | swap_halves(agree)) & !LOW)
+}
+
+/// Bit `k` of each of up to 64 bytes, byte `i` into bit `i`. Eight
+/// bytes at a time: bit `k` of each byte moves to the byte's bit 0, and
+/// one multiplication collects the eight bits into the top byte (every
+/// partial product lands on its own bit, so nothing carries).
+#[inline]
+fn gather(bytes: &[u8], k: usize) -> u64 {
+    let full = bytes.len() / 8 * 8;
+    let mut out = 0u64;
+    for (j, group) in bytes[..full].chunks_exact(8).enumerate() {
+        let lsbs = (u64::from_le_bytes(group.try_into().expect("eight bytes")) >> k)
+            & 0x0101_0101_0101_0101;
+        out |= (lsbs.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j);
+    }
+    for (i, &b) in bytes.iter().enumerate().skip(full) {
+        out |= u64::from((b >> k) & 1) << i;
+    }
+    out
 }
 
 impl CompiledCircuit {
@@ -293,102 +310,111 @@ impl CompiledCircuit {
     }
 
     /// Three-valued evaluation of the fault-free machine over `seq`,
-    /// starting from the flip-flop state `init_ff`. Returns the
-    /// bit-packed per-cycle trace of every net plus the final flip-flop
-    /// state (for incremental callers to resume from).
+    /// starting from the flip-flop state `init_ff`: the one-lane
+    /// [`good_traces`](Self::good_traces). Returns the bit-packed
+    /// per-cycle trace of every net plus the final flip-flop state (for
+    /// incremental callers to resume from).
     pub(crate) fn good_trace(
         &self,
         seq: &TestSequence,
         init_ff: &[Logic3],
     ) -> (GoodTrace, Vec<Logic3>) {
         debug_assert_eq!(init_ff.len(), self.num_dffs);
-        let mut trace = GoodTrace::new(self.num_nets, seq.len());
-        let ff: Vec<Code> = init_ff.iter().map(|&v| code_of(v)).collect();
-        let ff = self.good_cycles(seq, 0..seq.len(), ff, &mut trace);
-        (trace, ff)
+        let (mut traces, ff) = self.sweep(&[seq], init_ff);
+        (traces.pop().expect("one lane in, one trace out"), ff)
     }
 
-    /// Like [`good_trace`](Self::good_trace), but copies the first
-    /// `shared` cycles from `base` (whose input rows must match `seq` on
-    /// that prefix) and simulates only the suffix, starting from the
-    /// flip-flop state `base` recorded entering cycle `shared`.
-    pub(crate) fn good_trace_from(
-        &self,
-        seq: &TestSequence,
-        init_ff: &[Logic3],
-        base: &GoodTrace,
-        shared: usize,
-    ) -> (GoodTrace, Vec<Logic3>) {
-        debug_assert_eq!(init_ff.len(), self.num_dffs);
-        debug_assert!(shared <= seq.len() && shared <= base.len());
-        let mut trace = GoodTrace::new(self.num_nets, seq.len());
-        trace.copy_rows(base, 0..shared);
-        // The state entering cycle `shared` is what each flip-flop
-        // latched at the end of cycle `shared - 1` — its D net's value.
-        let ff: Vec<Code> = if shared == 0 {
-            init_ff.iter().map(|&v| code_of(v)).collect()
-        } else {
-            self.dff_d
-                .iter()
-                .map(|&d| base.code(shared - 1, d as usize))
-                .collect()
+    /// The fault-free traces of `seqs`, each from the all-`X` start, in
+    /// one topological sweep per [`SWEEP_LANES`] sequences of any
+    /// lengths: every gate is evaluated once per cycle for all the
+    /// sequences of a sweep at once, so a sweep costs little more than
+    /// one sequence does. Trace `l` is exactly what a one-lane call over
+    /// `seqs[l]` records.
+    pub(crate) fn good_traces(&self, seqs: &[&TestSequence]) -> Vec<GoodTrace> {
+        let init = vec![Logic3::X; self.num_dffs];
+        seqs.chunks(SWEEP_LANES)
+            .flat_map(|group| self.sweep(group, &init).0)
+            .collect()
+    }
+
+    /// The lane-parallel sweep behind [`good_trace`](Self::good_trace)
+    /// and [`good_traces`](Self::good_traces), sequence `l` in lane `l`
+    /// of every net's sweep byte: every lane enters with the flip-flop
+    /// state `init_ff` and runs until the longest sequence ends; a lane
+    /// past its own end is driven with `X` inputs and no longer
+    /// recorded. Returns the traces and lane 0's final flip-flop state.
+    fn sweep(&self, seqs: &[&TestSequence], init_ff: &[Logic3]) -> (Vec<GoodTrace>, Vec<Logic3>) {
+        debug_assert!(seqs.len() <= SWEEP_LANES);
+        let of_logic = |v: Logic3| match v {
+            Logic3::One => LOW,
+            Logic3::Zero => !LOW,
+            Logic3::X => 0,
         };
-        let ff = self.good_cycles(seq, shared..seq.len(), ff, &mut trace);
-        (trace, ff)
-    }
-
-    /// Simulates the fault-free machine over `cycles` of `seq`, entering
-    /// the first with flip-flop state `ff`, and packs every cycle's net
-    /// values into `trace`. Returns the state after the last cycle.
-    fn good_cycles(
-        &self,
-        seq: &TestSequence,
-        cycles: Range<usize>,
-        mut ff: Vec<Code>,
-        trace: &mut GoodTrace,
-    ) -> Vec<Logic3> {
-        let mut codes = vec![CODE_X; self.num_nets];
-        for u in cycles {
-            let row = seq.row(u);
-            for (pi, &n) in self.pi_nets.iter().enumerate() {
-                codes[n as usize] = code_of_bool(row[pi]);
+        let mut traces: Vec<GoodTrace> = seqs
+            .iter()
+            .map(|s| GoodTrace::new(self.num_nets, s.len()))
+            .collect();
+        let cycles = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
+        let mut ff: Vec<u8> = init_ff.iter().map(|&v| of_logic(v)).collect();
+        let mut nets = vec![0u8; self.num_nets];
+        let mut pis = vec![0u8; self.pi_nets.len()];
+        for u in 0..cycles {
+            pis.fill(0);
+            for (l, s) in seqs.iter().enumerate().filter(|(_, s)| u < s.len()) {
+                for (p, &b) in pis.iter_mut().zip(s.row(u)) {
+                    *p |= 1 << if b { l } else { l + SWEEP_LANES };
+                }
             }
-            for (k, &q) in self.dff_q.iter().enumerate() {
-                codes[q as usize] = ff[k];
+            for (&n, &p) in self.pi_nets.iter().zip(&pis) {
+                nets[n as usize] = p;
+            }
+            for (&q, &p) in self.dff_q.iter().zip(&ff) {
+                nets[q as usize] = p;
             }
             for &(n, v) in &self.const_vals {
-                codes[n as usize] = code_of_bool(v);
+                nets[n as usize] = of_logic(v.into());
             }
             for (pos, &out) in self.out_nets.iter().enumerate() {
-                codes[out as usize] = self.eval_code(pos, |n| codes[n]);
+                nets[out as usize] = self.eval_lanes(pos, &nets);
             }
-            for (k, &d) in self.dff_d.iter().enumerate() {
-                ff[k] = codes[d as usize];
+            for (p, &d) in ff.iter_mut().zip(&self.dff_d) {
+                *p = nets[d as usize];
             }
-            trace.pack_row(u, &codes);
+            for (l, trace) in traces.iter_mut().enumerate() {
+                if u < trace.len() {
+                    trace.pack_lane(u, &nets, l, l + SWEEP_LANES);
+                }
+            }
         }
-        ff.into_iter().map(logic_of).collect()
+        let ff = ff
+            .iter()
+            .map(|&p| match (p & 1, p >> SWEEP_LANES & 1) {
+                (1, _) => Logic3::One,
+                (_, 1) => Logic3::Zero,
+                _ => Logic3::X,
+            })
+            .collect();
+        (traces, ff)
     }
 
-    /// Evaluates the gate at topo position `pos` on operand codes from
-    /// `read`, with the same instructions for every gate kind (see
-    /// [`CodeOp`]).
+    /// Evaluates the gate at topo position `pos` on the operand sweep
+    /// bytes in `nets`, with the same instructions for every gate kind
+    /// (see [`CodeOp`]).
     #[inline]
-    fn eval_code(&self, pos: usize, read: impl Fn(usize) -> Code) -> Code {
+    fn eval_lanes(&self, pos: usize, nets: &[u8]) -> u8 {
         let s = self.in_start[pos] as usize;
         let e = self.in_start[pos + 1] as usize;
-        let first = read(self.in_nets[s] as usize);
+        let first = nets[self.in_nets[s] as usize];
         let (mut all, mut any, mut xor) = (first, first, first);
         for &i in &self.in_nets[s + 1..e] {
-            let c = read(i as usize);
+            let c = nets[i as usize];
             all &= c;
             any |= c;
-            xor = xor_code(xor, c);
+            xor = xor_lanes(xor, c);
         }
         let op = self.code_ops[pos];
         let r = (all & op.all) | (any & op.any) | (xor & op.xor);
-        let swapped = ((r << 1) | (r >> 1)) & 3;
-        r ^ ((r ^ swapped) & op.swap)
+        r ^ ((r ^ swap_halves(r)) & op.swap)
     }
 }
 
@@ -418,34 +444,14 @@ impl GoodTrace {
         self.num_cycles
     }
 
-    /// Copies rows `rows` of `base` (same circuit) into this trace.
-    fn copy_rows(&mut self, base: &GoodTrace, rows: Range<usize>) {
-        debug_assert_eq!(base.words, self.words);
-        let span = rows.start * self.words..rows.end * self.words;
-        self.ones[span.clone()].copy_from_slice(&base.ones[span.clone()]);
-        self.zeros[span.clone()].copy_from_slice(&base.zeros[span]);
-    }
-
-    /// Packs one cycle's per-net codes into row `u`, 64 nets per word.
-    fn pack_row(&mut self, u: usize, codes: &[Code]) {
+    /// Packs bits `one` (ones plane) and `zero` (zeros plane) of every
+    /// net's sweep byte into row `u`, 64 nets per word.
+    fn pack_lane(&mut self, u: usize, nets: &[u8], one: usize, zero: usize) {
         let base = u * self.words;
-        for (w, chunk) in codes.chunks(64).enumerate() {
-            let (mut ones, mut zeros) = (0u64, 0u64);
-            for (b, &c) in chunk.iter().enumerate() {
-                ones |= u64::from(c & 1) << b;
-                zeros |= u64::from(c >> 1) << b;
-            }
-            self.ones[base + w] = ones;
-            self.zeros[base + w] = zeros;
+        for (w, chunk) in nets.chunks(64).enumerate() {
+            self.ones[base + w] = gather(chunk, one);
+            self.zeros[base + w] = gather(chunk, zero);
         }
-    }
-
-    /// The fault-free value of net `n` at cycle `u` as a [`Code`].
-    #[inline]
-    fn code(&self, u: usize, n: usize) -> Code {
-        let w = u * self.words + n / 64;
-        let b = n % 64;
-        (((self.ones[w] >> b) & 1) | (((self.zeros[w] >> b) & 1) << 1)) as Code
     }
 
     /// The fault-free value of net `n` at cycle `u`, broadcast to all
@@ -468,7 +474,15 @@ impl GoodTrace {
     /// The fault-free value of net `n` at cycle `u` as a scalar.
     #[inline]
     pub(crate) fn value(&self, u: usize, n: usize) -> Logic3 {
-        logic_of(self.code(u, n))
+        let w = u * self.words + n / 64;
+        let bit = 1u64 << (n % 64);
+        if self.ones[w] & bit != 0 {
+            Logic3::One
+        } else if self.zeros[w] & bit != 0 {
+            Logic3::Zero
+        } else {
+            Logic3::X
+        }
     }
 }
 
@@ -1417,6 +1431,28 @@ mod tests {
         assert_eq!(loads, vec![1, cc.num_gates as u32]);
     }
 
+    /// The eight-at-a-time lane gather equals the bit-by-bit one at
+    /// every bit of the sweep byte, on full and ragged chunks.
+    #[test]
+    fn lane_gather_matches_bitwise_gather() {
+        for len in [64u32, 61, 3, 0] {
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| {
+                    (0..8)
+                        .filter(|&b| (i as usize * 37 + b * 11).is_multiple_of(3))
+                        .fold(0u8, |w, b| w | 1 << b)
+                })
+                .collect();
+            for k in 0..8 {
+                let naive = bytes
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (i, b)| acc | u64::from(b >> k & 1) << i);
+                assert_eq!(gather(&bytes, k), naive, "{len} bytes, bit {k}");
+            }
+        }
+    }
+
     #[test]
     fn good_trace_matches_logic_sim() {
         let c = toy();
@@ -1445,71 +1481,6 @@ mod tests {
         assert_eq!(final_ff, oracle_ff);
     }
 
-    #[test]
-    fn good_trace_from_matches_from_scratch_at_every_divergence() {
-        let c = toy();
-        let cc = CompiledCircuit::build(&c);
-        let base_seq = TestSequence::parse_rows(&["00", "10", "01", "11", "10"]).unwrap();
-        let (base, _) = cc.good_trace(&base_seq, &[Logic3::X]);
-        // Resumed traces must equal the from-scratch trace whether the
-        // suffix diverges, extends, or truncates the cached sequence.
-        let probes = [
-            (vec!["00", "10", "11", "01", "00"], 2usize),
-            (vec!["00", "10", "01", "11", "10"], 5),
-            (vec!["00", "10", "01"], 3),
-            (vec!["00", "10", "01", "11", "10", "01", "00"], 5),
-        ];
-        for (rows, shared) in probes {
-            let seq = TestSequence::parse_rows(&rows).unwrap();
-            let (expect, expect_ff) = cc.good_trace(&seq, &[Logic3::X]);
-            let (got, got_ff) = cc.good_trace_from(&seq, &[Logic3::X], &base, shared);
-            for u in 0..seq.len() {
-                for n in 0..c.num_nets() {
-                    assert_eq!(
-                        got.planes::<u64>(u, n),
-                        expect.planes::<u64>(u, n),
-                        "net {n} at {u} (shared {shared})"
-                    );
-                }
-            }
-            assert_eq!(got_ff, expect_ff, "final state (shared {shared})");
-        }
-    }
-
-    #[test]
-    fn good_trace_from_equals_good_trace_at_every_divergence_cycle() {
-        let c = toy();
-        let cc = CompiledCircuit::build(&c);
-        let base_rows = ["00", "10", "01", "11", "10", "00"];
-        let base_seq = TestSequence::parse_rows(&base_rows).unwrap();
-        let (base, _) = cc.good_trace(&base_seq, &[Logic3::X]);
-        // Flip input 1's stream from each divergence cycle on (plus an
-        // extension past the base): the resumed trace and final state
-        // must equal the from-scratch ones at every divergence cycle.
-        for shared in 0..=base_seq.len() {
-            let mut rows: Vec<String> = base_rows.iter().map(|r| r.to_string()).collect();
-            for row in rows.iter_mut().skip(shared) {
-                let flipped = if &row[1..2] == "0" { "1" } else { "0" };
-                *row = format!("{}{}", &row[..1], flipped);
-            }
-            rows.push("11".into());
-            let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
-            let seq = TestSequence::parse_rows(&refs).unwrap();
-            let (expect, expect_ff) = cc.good_trace(&seq, &[Logic3::X]);
-            let (got, got_ff) = cc.good_trace_from(&seq, &[Logic3::X], &base, shared);
-            for u in 0..seq.len() {
-                for n in 0..c.num_nets() {
-                    assert_eq!(
-                        got.planes::<u64>(u, n),
-                        expect.planes::<u64>(u, n),
-                        "net {n} at {u} (shared {shared})"
-                    );
-                }
-            }
-            assert_eq!(got_ff, expect_ff, "final state (shared {shared})");
-        }
-    }
-
     /// Which gate kinds a comparison evaluated, and whether an XOR/XNOR
     /// gate ever saw an `X` operand.
     #[derive(Default)]
@@ -1518,9 +1489,9 @@ mod tests {
         xor_saw_x: bool,
     }
 
-    /// Runs the branch-free good trace from `init` and checks every net
-    /// of every cycle, plus the final state, against the scalar
-    /// `LogicSim` step function started from the same state.
+    /// Runs the one-lane good trace from `init` and checks every net of
+    /// every cycle, plus the final state, against the scalar `LogicSim`
+    /// step function started from the same state.
     fn check_good_trace(
         c: &Circuit,
         seq: &TestSequence,
@@ -1529,6 +1500,22 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let cc = CompiledCircuit::build(c);
         let (trace, final_ff) = cc.good_trace(seq, init);
+        let state = check_trace(c, seq, &trace, init, cover)?;
+        prop_assert_eq!(final_ff, state);
+        Ok(())
+    }
+
+    /// Checks every net of every cycle of `trace` against the scalar
+    /// `LogicSim` step function over `seq` from `init`; returns the
+    /// oracle's final state.
+    fn check_trace(
+        c: &Circuit,
+        seq: &TestSequence,
+        trace: &GoodTrace,
+        init: &[Logic3],
+        cover: &mut KindCoverage,
+    ) -> Result<Vec<Logic3>, TestCaseError> {
+        prop_assert_eq!(trace.len(), seq.len());
         let mut state = init.to_vec();
         let mut nets = vec![Logic3::X; c.num_nets()];
         for u in 0..seq.len() {
@@ -1548,8 +1535,7 @@ mod tests {
                 }
             }
         }
-        prop_assert_eq!(final_ff, state);
-        Ok(())
+        Ok(state)
     }
 
     /// A random three-valued flip-flop state (one value in three `X`).
@@ -1585,7 +1571,7 @@ mod tests {
             rows in prop::collection::vec(any::<u64>(), 1..24),
             ff_bits in prop::collection::vec(any::<u8>(), 12..13),
         ) {
-            let gates = 2 * dffs + extra;
+            let gates = 2 * dffs + extra + 3;
             let c = SyntheticSpec::new("prop", inputs, 1 + extra % 4, dffs, gates, seed).build();
             let seq = random_sequence(inputs, &rows);
             // From the all-X start the oracle run is exactly
@@ -1593,6 +1579,40 @@ mod tests {
             let mut cover = KindCoverage::default();
             check_good_trace(&c, &seq, &vec![Logic3::X; dffs], &mut cover)?;
             check_good_trace(&c, &seq, &random_state(&ff_bits[..dffs]), &mut cover)?;
+        }
+
+        /// A batch of sequences of mixed lengths equals `LogicSim` lane
+        /// by lane, at batch sizes from one partial sweep to sixteen
+        /// sweeps with a ragged last one.
+        #[test]
+        fn every_lane_of_a_batched_sweep_equals_logic_sim(
+            seed in any::<u64>(),
+            inputs in 1usize..9,
+            dffs in 0usize..12,
+            extra in 1usize..60,
+            size_sel in 0usize..9,
+            rows in prop::collection::vec(any::<u64>(), 24..25),
+            lens in prop::collection::vec(0usize..24, 64..65),
+        ) {
+            let lanes = [1usize, 2, 4, 5, 9, 17, 33, 63, 64][size_sel];
+            let gates = 2 * dffs + extra + 3;
+            let c = SyntheticSpec::new("prop", inputs, 1 + extra % 4, dffs, gates, seed).build();
+            let cc = CompiledCircuit::build(&c);
+            // Lane `l` reads the rows from offset `l`, so lanes differ.
+            let seqs: Vec<TestSequence> = (0..lanes)
+                .map(|l| {
+                    let picked: Vec<u64> =
+                        (0..lens[l]).map(|u| rows[(u + l) % rows.len()] ^ l as u64).collect();
+                    random_sequence(inputs, &picked)
+                })
+                .collect();
+            let refs: Vec<&TestSequence> = seqs.iter().collect();
+            let traces = cc.good_traces(&refs);
+            prop_assert_eq!(traces.len(), lanes);
+            let mut cover = KindCoverage::default();
+            for (seq, trace) in seqs.iter().zip(&traces) {
+                check_trace(&c, seq, trace, &vec![Logic3::X; dffs], &mut cover)?;
+            }
         }
     }
 

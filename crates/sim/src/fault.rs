@@ -72,7 +72,7 @@
 //! available cores).
 
 use crate::compiled::{
-    self, BatchStats, CompiledCircuit, CycleCtx, DirtyScratch, GoodTrace, MaskBuf,
+    self, BatchStats, CompiledCircuit, CycleCtx, DirtyScratch, GoodTrace, MaskBuf, SWEEP_LANES,
 };
 use crate::error::SimError;
 use crate::logic::Logic3;
@@ -86,17 +86,12 @@ use crate::run::RunOptions;
 use crate::runctl::CancelToken;
 use crate::sequence::TestSequence;
 use crate::word::{with_word, Word, WordWidth};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wbist_netlist::{Circuit, Fault, FaultList, FaultModel, NetId};
 use wbist_telemetry::Telemetry;
-
-/// Prepared-resume context threaded from [`Query`] into the dense
-/// engine: the prefix cache (if attached) and the prepared sequence's
-/// `(epoch_index, divergence_cycle)` base. `None` means a from-scratch
-/// raw-sequence query.
-type PreparedCtx<'q> = Option<(Option<&'q PrefixTraceCache>, Option<(usize, usize)>)>;
 
 /// Simulation tuning knobs, shared by every [`FaultSim`] entry point.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -152,39 +147,23 @@ const ARTIFACT_STATE_CAP: usize = 1 << 16;
 /// silently degrading.
 const ARTIFACT_SPILL_CAP: usize = 1 << 24;
 
-/// A candidate sequence prepared for evaluation: its good-machine
-/// trace, computed once — resumed from the divergence cycle when a
-/// cached sequence shares a prefix — plus the cache entry its
-/// faulty-plane resume can key off. Feed it to queries through
-/// [`Query::prepared`]; every terminal reuses the trace, so a
-/// screen-then-dense pair pays for one good simulation instead of two.
+/// A sequence prepared for evaluation: its good-machine trace, built
+/// by [`FaultSim::prepare_sequences`] in one lane of a shared sweep.
+/// Feed it to queries through [`Query::prepared`]; every terminal reuses
+/// the trace, so a screen-then-dense pair pays for one good simulation
+/// instead of two. The trace depends on the sequence alone, so a
+/// prepared sequence stays valid whatever the fault list or the prefix
+/// cache do in the meantime.
 #[derive(Debug)]
 pub struct PreparedSequence {
     seq: TestSequence,
-    trace: Arc<GoodTrace>,
-    /// `(cache entry index, shared prefix rows)` of the best match.
-    base: Option<(usize, usize)>,
-    reused_cycles: usize,
-    /// Good-machine gates evaluated rebuilding the suffix.
-    trace_gates_evaluated: u64,
+    trace: GoodTrace,
 }
 
 impl PreparedSequence {
-    /// Good-machine cycles skipped by resuming from a cached trace.
-    pub fn reused_cycles(&self) -> usize {
-        self.reused_cycles
-    }
-
     /// The prepared sequence itself.
     pub fn sequence(&self) -> &TestSequence {
         &self.seq
-    }
-
-    /// Good-machine gate evaluations spent rebuilding the trace suffix:
-    /// every gate of every resumed cycle (0 when the trace was computed
-    /// from scratch or shared whole).
-    pub fn trace_gates_evaluated(&self) -> u64 {
-        self.trace_gates_evaluated
     }
 }
 
@@ -206,8 +185,10 @@ pub struct PreparedOutcome {
     /// flip-flops` exceeded even the spill cap.
     pub snapshot_capture_denied: bool,
     /// Entry the caller may install into its [`PrefixTraceCache`] once
-    /// this evaluation's result is committed.
-    pub install: CacheInstall,
+    /// this evaluation's result is committed: the sequence with its
+    /// faulty-plane snapshots. `None` when nothing was captured (no
+    /// cache attached, the reference kernel, or capture denied).
+    pub install: Option<CacheInstall>,
 }
 
 /// Everything one dense engine run reports: per-fault detection times
@@ -654,6 +635,7 @@ impl<'c> FaultSim<'c> {
 
     /// The good trace for one query over `seq`, starting from `init_ff`.
     fn good_trace(&self, seq: &TestSequence, init_ff: &[Logic3]) -> (GoodTrace, Vec<Logic3>) {
+        self.record_sweep(1);
         self.compiled.good_trace(seq, init_ff)
     }
 
@@ -972,21 +954,21 @@ impl<'c> FaultSim<'c> {
     /// — for prepared queries under the capture cap — the faulty-plane
     /// snapshots to install into the prefix cache.
     ///
-    /// With `prepared` absent this is the historic from-scratch dense
-    /// query: no resume, no capture, identical work and identical
-    /// deterministic telemetry. With `prepared` present each batch
-    /// resumes from the latest cached snapshot at or before the
-    /// shared-prefix divergence cycle — bit-identical to the
-    /// from-scratch run in every observable (each snapshot carries the
-    /// cumulative stats and detections of the cycles it skips, and an
-    /// armed cancellation token is pre-charged with the skipped
-    /// fault-cycles).
+    /// With `cache` absent this is the plain from-scratch dense query:
+    /// no resume, no capture. With `cache` present each batch resumes
+    /// from the latest snapshot, cached under the sequence sharing the
+    /// longest input prefix with `seq`, at or before the divergence
+    /// cycle — bit-identical to the from-scratch run in every observable
+    /// (each snapshot carries the cumulative stats and detections of the
+    /// cycles it skips, and an armed cancellation token is pre-charged
+    /// with the skipped fault-cycles) — and captures this run's
+    /// snapshots for the caller to install.
     fn run_dense<W: SimWord>(
         &self,
         faults: &FaultList,
         seq: &TestSequence,
         trace: &GoodTrace,
-        prepared: PreparedCtx<'_>,
+        cache: Option<&PrefixTraceCache>,
     ) -> DenseRun {
         let num_dffs = self.circuit.num_dffs();
         let batches = self.make_batches::<W>(faults);
@@ -1007,7 +989,8 @@ impl<'c> FaultSim<'c> {
             Spill,
             Denied,
         }
-        let capture = if prepared.is_none() || self.options.reference_kernel {
+        let cache = cache.filter(|_| !self.options.reference_kernel);
+        let capture = if cache.is_none() {
             Capture::Off
         } else if n_jobs * num_dffs <= ARTIFACT_STATE_CAP {
             Capture::Raw
@@ -1017,17 +1000,14 @@ impl<'c> FaultSim<'c> {
             Capture::Denied
         };
         // Artifacts cached at another word width fail the downcast and
-        // simply miss — the trace-side prefix reuse still applies.
-        let arts: Option<(&FaultyArtifacts<W>, usize)> = match prepared {
-            Some((Some(cache), Some((ei, d)))) if !self.options.reference_kernel => cache
-                .entry(ei)
-                .faulty
-                .as_ref()
-                .and_then(W::from_any)
-                .filter(|fa| fa.fingerprint == fingerprint && fa.store.num_batches() == n_jobs)
-                .map(|fa| (fa, d)),
-            _ => None,
-        };
+        // simply miss.
+        let arts: Option<(&FaultyArtifacts<W>, usize)> = cache
+            .and_then(|c| c.best_prefix(seq).map(|(ei, d)| (c.entry(ei), d)))
+            .and_then(|(entry, d)| {
+                W::from_any(&entry.faulty)
+                    .filter(|fa| fa.fingerprint == fingerprint && fa.store.num_batches() == n_jobs)
+                    .map(|fa| (fa, d))
+            });
         if let Some((fa, _)) = arts {
             debug_assert!(
                 matches!(
@@ -1276,69 +1256,38 @@ impl<'c> FaultSim<'c> {
         hits.into_iter().any(|(h, _, _)| h)
     }
 
-    /// Computes the good-machine trace of `seq` once for a screen +
-    /// dense query pair, resuming from the cached sequence sharing the
-    /// longest input prefix (when `cache` holds one) instead of
-    /// simulating from cycle 0.
-    ///
-    /// The reference kernel ignores the cache entirely — it is the
-    /// differential oracle and must keep recomputing everything.
+    /// Builds the good-machine traces of `seqs` for later queries
+    /// ([`Query::prepared`]), [`SWEEP_LANES`] sequences per topological
+    /// sweep: a sweep evaluates each gate once per cycle for every sequence it
+    /// carries, so preparing the sequences a caller already knows it
+    /// will query together costs little more than one sweep instead of
+    /// one sweep per sequence. Each sweep is reported as the effort
+    /// counters `sim.good_sweeps` (+1) and `sim.good_lanes` (+ its
+    /// sequences), like every other trace the simulator builds.
     ///
     /// # Panics
     ///
-    /// Panics if the sequence width does not match the circuit.
-    pub fn prepare_sequence(
-        &self,
-        cache: Option<&PrefixTraceCache>,
-        seq: &TestSequence,
-    ) -> PreparedSequence {
-        self.check_width(seq);
-        let init = vec![Logic3::X; self.circuit.num_dffs()];
-        let best = if self.options.reference_kernel {
-            None
-        } else {
-            cache.and_then(|c| c.best_prefix(seq))
-        };
-        match best {
-            Some((ei, d)) => {
-                let base = cache.expect("best_prefix implies a cache").entry(ei);
-                // A full-length match over equal lengths is the same
-                // sequence: share the trace outright. Otherwise copy the
-                // shared rows and rescan every gate of the suffix.
-                let (trace, trace_gates_evaluated) = if d == seq.len() && base.trace.len() == d {
-                    (base.trace.clone(), 0)
-                } else {
-                    let trace = self.compiled.good_trace_from(seq, &init, &base.trace, d).0;
-                    let gates = (self.compiled.num_gates * (seq.len() - d)) as u64;
-                    (Arc::new(trace), gates)
-                };
-                PreparedSequence {
-                    seq: seq.clone(),
-                    trace,
-                    base: Some((ei, d)),
-                    reused_cycles: d,
-                    trace_gates_evaluated,
-                }
+    /// Panics if a sequence width does not match the circuit.
+    pub fn prepare_sequences(&self, seqs: &[TestSequence]) -> Vec<PreparedSequence> {
+        let mut out = Vec::with_capacity(seqs.len());
+        for chunk in seqs.chunks(SWEEP_LANES) {
+            let lanes: Vec<&TestSequence> = chunk.iter().collect();
+            for seq in &lanes {
+                self.check_width(seq);
             }
-            None => PreparedSequence {
-                seq: seq.clone(),
-                trace: Arc::new(self.compiled.good_trace(seq, &init).0),
-                base: None,
-                reused_cycles: 0,
-                trace_gates_evaluated: 0,
-            },
+            self.record_sweep(lanes.len());
+            let traces = self.compiled.good_traces(&lanes);
+            out.extend(
+                chunk
+                    .iter()
+                    .zip(traces)
+                    .map(|(seq, trace)| PreparedSequence {
+                        seq: seq.clone(),
+                        trace,
+                    }),
+            );
         }
-    }
-
-    /// A trace-only cache entry for `prep` (no faulty-plane state): what
-    /// a candidate that never ran the dense query — screened out, say —
-    /// can still contribute to later prefix lookups.
-    pub fn trace_install(&self, prep: &PreparedSequence) -> CacheInstall {
-        CacheInstall {
-            seq: prep.seq.clone(),
-            trace: prep.trace.clone(),
-            faulty: None,
-        }
+        out
     }
 
     /// Observability engine behind [`Query::observable_lines`]: for
@@ -1523,6 +1472,16 @@ impl<'c> FaultSim<'c> {
         self.telemetry.add("sim.fault_cycles", stats.fault_cycles);
     }
 
+    /// Reports one fault-free sweep carrying `lanes` sequences. Effort:
+    /// how sequences are grouped into sweeps is the caller's scheduling
+    /// choice, invisible to every result.
+    fn record_sweep(&self, lanes: usize) {
+        if self.telemetry.is_enabled() {
+            self.telemetry.add_effort("sim.good_sweeps", 1);
+            self.telemetry.add_effort("sim.good_lanes", lanes as u64);
+        }
+    }
+
     /// Reports one early-exit screening query ([`Query::any`] /
     /// [`FaultSim::sample_detects`]). Cycle and cancellation totals
     /// depend on which worker wins the race, so they are recorded as
@@ -1548,9 +1507,8 @@ impl<'c> FaultSim<'c> {
 /// * [`sequence`](Query::sequence) — a raw [`TestSequence`]; the good
 ///   trace is computed on the spot from the all-`X` start, or
 /// * [`prepared`](Query::prepared) — a [`PreparedSequence`] whose good
-///   trace was computed (possibly prefix-resumed) up front, so a
-///   screen-then-dense pair pays for one good simulation instead of
-///   two.
+///   trace was computed up front, so a screen-then-dense pair pays for
+///   one good simulation instead of two.
 ///
 /// An optional [`cache`](Query::cache) supplies the prefix cache whose
 /// faulty-plane snapshots [`outcome`](Query::outcome) resumes from.
@@ -1585,33 +1543,27 @@ impl<'q, 'c> Query<'q, 'c> {
         self
     }
 
-    /// Prefix cache whose faulty-plane snapshots a
-    /// [`prepared`](Query::prepared) [`outcome`](Query::outcome) may
-    /// resume from. Ignored by every other terminal.
+    /// Prefix cache an [`outcome`](Query::outcome) resumes its fault
+    /// batches from (looked up when the query runs) and captures its own
+    /// snapshots for. Ignored by every other terminal.
     pub fn cache(mut self, cache: &'q PrefixTraceCache) -> Self {
         self.cache = Some(cache);
         self
     }
 
     /// The sequence and good trace this query runs against.
-    fn resolve(&self) -> (&'q TestSequence, Arc<GoodTrace>) {
+    fn resolve(&self) -> (&'q TestSequence, Cow<'q, GoodTrace>) {
         match (self.prep, self.seq) {
-            (Some(p), _) => (&p.seq, p.trace.clone()),
+            (Some(p), _) => (&p.seq, Cow::Borrowed(&p.trace)),
             (None, Some(s)) => {
                 self.sim.check_width(s);
                 let init = vec![Logic3::X; self.sim.circuit.num_dffs()];
-                (s, Arc::new(self.sim.compiled.good_trace(s, &init).0))
+                (s, Cow::Owned(self.sim.good_trace(s, &init).0))
             }
             (None, None) => {
                 panic!("FaultSim query needs a sequence: call .sequence(..) or .prepared(..)")
             }
         }
-    }
-
-    /// The prepared-resume context handed to the dense engine: present
-    /// iff the query was built from a prepared sequence.
-    fn prepared_ctx(&self) -> PreparedCtx<'q> {
-        self.prep.map(|p| (self.cache, p.base))
     }
 
     /// For every fault, the first time unit at which it is detected (the
@@ -1621,7 +1573,7 @@ impl<'q, 'c> Query<'q, 'c> {
         let (seq, trace) = self.resolve();
         with_word!(self.sim.options.word_width, W => {
             self.sim
-                .run_dense::<W>(self.faults, seq, &trace, self.prepared_ctx())
+                .run_dense::<W>(self.faults, seq, &trace, None)
                 .times
         })
     }
@@ -1680,21 +1632,19 @@ impl<'q, 'c> Query<'q, 'c> {
 
     /// The dense query with its cache bookkeeping: detected indices plus
     /// the resume accounting and the [`CacheInstall`] the caller may
-    /// publish once the result is committed. Requires a
-    /// [`prepared`](Query::prepared) sequence — the install shares the
-    /// prepared trace.
+    /// publish once the result is committed. With a
+    /// [`cache`](Query::cache) attached, fault batches resume from its
+    /// snapshots and this run's snapshots are captured; without one it
+    /// is a plain dense query.
     ///
     /// Bit-identical to [`detected_indices`](Query::detected_indices) in
     /// every observable: detections, drop order, and the deterministic
     /// telemetry counters (each resumed batch carries the cumulative
     /// stats and detections of the cycles it skips).
     pub fn outcome(self) -> PreparedOutcome {
-        let prep = self
-            .prep
-            .expect("Query::outcome requires a prepared sequence");
+        let (seq, trace) = self.resolve();
         let run = with_word!(self.sim.options.word_width, W => {
-            self.sim
-                .run_dense::<W>(self.faults, &prep.seq, &prep.trace, self.prepared_ctx())
+            self.sim.run_dense::<W>(self.faults, seq, &trace, self.cache)
         });
         let detected = run
             .times
@@ -1708,11 +1658,10 @@ impl<'q, 'c> Query<'q, 'c> {
             snapshot_spills: run.snapshot_spills,
             snapshot_bytes: run.snapshot_bytes,
             snapshot_capture_denied: run.capture_denied,
-            install: CacheInstall {
-                seq: prep.seq.clone(),
-                trace: prep.trace.clone(),
-                faulty: run.artifacts,
-            },
+            install: run.artifacts.map(|faulty| CacheInstall {
+                seq: seq.clone(),
+                faulty,
+            }),
         }
     }
 }
@@ -2413,9 +2362,22 @@ mod tests {
         let tel = Telemetry::enabled();
         let sim =
             FaultSim::with_options(c, SimOptions::with_threads(threads)).telemetry(tel.clone());
-        let prep = sim.prepare_sequence(Some(cache), seq);
+        let prep = prepare_one(&sim, seq);
         let out = sim.query(faults).prepared(&prep).cache(cache).outcome();
         (out, tel.counters())
+    }
+
+    fn prepare_one(sim: &FaultSim<'_>, seq: &TestSequence) -> PreparedSequence {
+        let mut preps = sim.prepare_sequences(std::slice::from_ref(seq));
+        assert_eq!(preps.len(), 1);
+        preps.pop().unwrap()
+    }
+
+    fn install(cache: &mut crate::prefix::PrefixTraceCache, out: super::PreparedOutcome) {
+        cache.install(
+            out.install
+                .expect("a cached dense query captures snapshots"),
+        );
     }
 
     #[test]
@@ -2452,7 +2414,7 @@ mod tests {
         assert_eq!(out.detected, expect_base);
         assert_eq!(out.resumed_cycles, 0, "cold cache cannot resume");
         assert_eq!(counters, base_counters);
-        cache.install(out.install);
+        install(&mut cache, out);
 
         // Warm query resumes from the divergence cycle — identical
         // detections and identical deterministic counters, fewer
@@ -2487,21 +2449,19 @@ mod tests {
         let wide_opts = SimOptions::with_threads(1).word_width(WordWidth::W128);
         let wide = FaultSim::with_options(&c, wide_opts);
         let mut cache = crate::prefix::PrefixTraceCache::new();
-        let prep = wide.prepare_sequence(Some(&cache), &seq);
+        let prep = prepare_one(&wide, &seq);
         let out = wide.query(&faults).prepared(&prep).cache(&cache).outcome();
         assert_eq!(out.detected, expect);
         assert_eq!(out.resumed_cycles, 0, "cold cache cannot resume");
-        cache.install(out.install);
+        install(&mut cache, out);
         // Same width: the duplicate resumes from its own snapshots.
-        let prep = wide.prepare_sequence(Some(&cache), &seq);
         let out = wide.query(&faults).prepared(&prep).cache(&cache).outcome();
         assert_eq!(out.detected, expect);
         assert!(out.resumed_cycles > 0, "same-width artifacts must resume");
-        // Other width: the artifact downcast misses, the trace still
-        // prefix-matches, and the results are unchanged.
+        // Other width: the artifact downcast misses and the results are
+        // unchanged.
         let narrow = FaultSim::with_options(&c, SimOptions::with_threads(1));
-        let prep = narrow.prepare_sequence(Some(&cache), &seq);
-        assert!(prep.reused_cycles() > 0, "trace reuse is width-agnostic");
+        let prep = prepare_one(&narrow, &seq);
         let out = narrow
             .query(&faults)
             .prepared(&prep)
@@ -2519,13 +2479,74 @@ mod tests {
         let (c, faults) = multi_batch();
         let seq = walk_sequence(24);
         let sim = FaultSim::with_options(&c, SimOptions::with_threads(1));
-        let cache = crate::prefix::PrefixTraceCache::new();
-        let prep = sim.prepare_sequence(Some(&cache), &seq);
-        assert_eq!(prep.reused_cycles(), 0);
+        let prep = prepare_one(&sim, &seq);
         assert_eq!(
             sim.query(&faults).prepared(&prep).any(),
             sim.query(&faults).sequence(&seq).any()
         );
+    }
+
+    /// A dense query without a cache attached neither resumes nor
+    /// captures: prepared or raw, it is the plain from-scratch query.
+    #[test]
+    fn cacheless_outcome_captures_nothing() {
+        let (c, faults) = multi_batch();
+        let seq = walk_sequence(24);
+        let sim = FaultSim::with_options(&c, SimOptions::with_threads(1));
+        let prep = prepare_one(&sim, &seq);
+        let out = sim.query(&faults).prepared(&prep).outcome();
+        assert!(out.install.is_none(), "no cache, no snapshots");
+        assert_eq!(out.resumed_cycles, 0);
+        assert_eq!(out.snapshot_spills, 0);
+        assert_eq!(
+            out.detected,
+            sim.query(&faults).sequence(&seq).detected_indices()
+        );
+    }
+
+    /// A batch of prepared sequences of mixed lengths — more than one
+    /// sweep's worth — gives every terminal the same answers and the
+    /// same deterministic counters as raw one-sequence queries, and each
+    /// sweep is reported once.
+    #[test]
+    fn batched_preparation_matches_raw_queries() {
+        let (c, faults) = multi_batch();
+        let seqs: Vec<TestSequence> = [(40, 0), (7, 3), (24, 1), (1, 2), (33, 5)]
+            .map(|(len, off)| {
+                let rows = (off..off + len)
+                    .map(|v| vec![v % 2 == 0, v % 3 == 0, v % 5 != 0])
+                    .collect();
+                TestSequence::from_rows(rows).unwrap()
+            })
+            .to_vec();
+        let tel = Telemetry::enabled();
+        let sim = FaultSim::with_options(&c, SimOptions::with_threads(2)).telemetry(tel.clone());
+        let preps = sim.prepare_sequences(&seqs);
+        let sweeps = seqs.len().div_ceil(SWEEP_LANES) as u64;
+        assert_eq!(tel.effort("sim.good_sweeps"), sweeps);
+        assert_eq!(tel.effort("sim.good_lanes"), seqs.len() as u64);
+        let raw_tel = Telemetry::enabled();
+        let raw =
+            FaultSim::with_options(&c, SimOptions::with_threads(1)).telemetry(raw_tel.clone());
+        for (seq, prep) in seqs.iter().zip(&preps) {
+            assert_eq!(prep.sequence(), seq);
+            assert_eq!(
+                sim.query(&faults).prepared(prep).detection_times(),
+                raw.query(&faults).sequence(seq).detection_times()
+            );
+            assert_eq!(
+                sim.query(&faults).prepared(prep).observable_lines(),
+                raw.query(&faults).sequence(seq).observable_lines()
+            );
+        }
+        assert_eq!(tel.counters(), raw_tel.counters());
+        assert_eq!(
+            tel.effort("sim.good_sweeps"),
+            sweeps,
+            "prepared queries reuse"
+        );
+        assert_eq!(raw_tel.effort("sim.good_sweeps"), 2 * seqs.len() as u64);
+        assert!(sim.prepare_sequences(&[]).is_empty());
     }
 
     #[test]
@@ -2534,7 +2555,7 @@ mod tests {
         let seq = walk_sequence(24);
         let oracle = FaultSim::with_options(&c, SimOptions::with_threads(1).reference_kernel(true));
         let mut cache = crate::prefix::PrefixTraceCache::new();
-        let prep = oracle.prepare_sequence(Some(&cache), &seq);
+        let prep = prepare_one(&oracle, &seq);
         let out = oracle
             .query(&faults)
             .prepared(&prep)
@@ -2545,11 +2566,16 @@ mod tests {
             oracle.query(&faults).sequence(&seq).detected_indices()
         );
         assert_eq!(out.resumed_cycles, 0);
-        cache.install(out.install);
-        // Even with the (trace-only) entry installed, the oracle must
+        assert!(out.install.is_none(), "the oracle captures nothing");
+        // Even with a compiled-kernel entry installed, the oracle must
         // keep simulating from scratch.
-        let prep = oracle.prepare_sequence(Some(&cache), &seq);
-        assert_eq!(prep.reused_cycles(), 0, "oracle never reuses traces");
+        let compiled = FaultSim::with_options(&c, SimOptions::with_threads(1));
+        let out = compiled
+            .query(&faults)
+            .prepared(&prep)
+            .cache(&cache)
+            .outcome();
+        install(&mut cache, out);
         let out = oracle
             .query(&faults)
             .prepared(&prep)

@@ -61,6 +61,7 @@ pub mod sequence;
 pub mod vcd;
 mod word;
 
+pub use compiled::SWEEP_LANES;
 pub use error::SimError;
 pub use fault::{
     CompiledHandle, FaultSim, FaultSimState, PreparedOutcome, PreparedSequence, Query, SimOptions,

@@ -4,17 +4,22 @@
 //! sequences `T_G` per segment, and consecutive candidate ranks share
 //! long sequence prefixes by construction (periodic per-input streams
 //! change one input's period at a time, and clamped ranks literally
-//! repeat sequences). A [`PrefixTraceCache`] exploits that: it keeps the
-//! last few evaluated sequences together with
+//! repeat sequences). A [`PrefixTraceCache`] exploits that on the
+//! faulty side: it keeps the last few evaluated sequences together with
+//! their per-batch faulty-plane state snapshotted at checkpointed cycles
+//! (`compiled::BatchCkpt`). A dense detection query looks up the cached
+//! sequence sharing the longest input prefix when it runs and resumes
+//! each fault batch from the latest snapshot at or before the
+//! divergence cycle instead of from cycle 0, with the dirty-set
+//! worklists reseeded from the restored state.
 //!
-//! * their good-machine trace (`compiled::GoodTrace`) — a new
-//!   candidate copies the shared prefix rows verbatim and resumes
-//!   the scalar good simulation at the first row that differs, and
-//! * per-batch faulty-plane state snapshotted at checkpointed cycles
-//!   (`compiled::BatchCkpt`) — a dense detection query resumes each
-//!   fault batch from the latest snapshot at or before the divergence
-//!   cycle instead of from cycle 0, with the dirty-set worklists
-//!   reseeded from the restored state.
+//! The good machine needs no cache: the caller prepares the fault-free
+//! traces of the sequences it is about to evaluate in one lane-parallel
+//! sweep (`FaultSim::prepare_sequences`), which costs about what one
+//! trace does. Spilled snapshots, which store flip-flop planes relative
+//! to the good machine, are restored against the running query's own
+//! trace — identical to the capture trace on every row before the
+//! divergence cycle.
 //!
 //! # Exactness
 //!
@@ -33,7 +38,7 @@
 //!
 //! Faulty-plane artifacts are keyed by a fingerprint of the fault list
 //! they were simulated against; a query over a different list (the
-//! screening sample, say) reuses only the good trace. The cache itself
+//! screening sample, say) simply misses. The cache itself
 //! is a plain value owned by the selection loop — it is never persisted
 //! to checkpoints, never hashed into the run configuration, and cleared
 //! whenever the segment snapshot it was built under changes.
@@ -253,8 +258,7 @@ pub(crate) struct FaultyArtifacts<W> {
 /// Width-erased faulty artifacts: the cache stores whatever lane width
 /// produced the snapshots, and a query at a different width simply
 /// misses (batch partitioning and machine-bit assignment are
-/// width-specific, so cross-width resume is meaningless — the
-/// width-independent good trace still gets reused).
+/// width-specific, so cross-width resume is meaningless).
 #[derive(Debug)]
 pub(crate) enum AnyArtifacts {
     W64(FaultyArtifacts<u64>),
@@ -316,31 +320,23 @@ impl ArtifactLane for crate::word::W256 {
     }
 }
 
-/// One cached sequence with its good trace and optional faulty state.
-#[derive(Debug)]
-pub(crate) struct CacheEntry {
-    pub(crate) seq: TestSequence,
-    pub(crate) trace: Arc<GoodTrace>,
-    pub(crate) faulty: Option<AnyArtifacts>,
-}
-
-/// An entry ready to be installed into a [`PrefixTraceCache`], produced
-/// by the prepared queries of [`FaultSim`](crate::FaultSim). Opaque to
-/// callers: the selection loop decides *when* committed results enter
-/// the cache (commit order makes the cache state deterministic), the
-/// simulator decides *what* is worth keeping.
+/// A sequence with its faulty-plane snapshots: produced by the dense
+/// query [`Query::outcome`](crate::Query::outcome), installed as one
+/// entry of a [`PrefixTraceCache`]. Opaque to callers: the selection
+/// loop decides *when* committed results enter the cache (commit order
+/// makes the cache state deterministic), the simulator decides *what* is
+/// worth keeping.
 #[derive(Debug)]
 pub struct CacheInstall {
     pub(crate) seq: TestSequence,
-    pub(crate) trace: Arc<GoodTrace>,
-    pub(crate) faulty: Option<AnyArtifacts>,
+    pub(crate) faulty: AnyArtifacts,
 }
 
 /// Cache of recently evaluated sequences, looked up by longest common
 /// row prefix. See the [module documentation](self).
 #[derive(Debug, Default)]
 pub struct PrefixTraceCache {
-    entries: Vec<CacheEntry>,
+    entries: Vec<CacheInstall>,
 }
 
 impl PrefixTraceCache {
@@ -366,27 +362,14 @@ impl PrefixTraceCache {
         self.entries.is_empty()
     }
 
-    /// Installs a committed evaluation. An identical sequence refreshes
-    /// its entry in place (keeping previously captured faulty artifacts
-    /// when the new install carries none); otherwise the entry is
-    /// appended and the oldest entry beyond the cap is evicted.
+    /// Installs a committed evaluation. An identical sequence replaces
+    /// its entry; otherwise the entry is appended and the oldest entry
+    /// beyond the cap is evicted.
     pub fn install(&mut self, inst: CacheInstall) {
-        if let Some(pos) = self.entries.iter().position(|e| e.seq == inst.seq) {
-            let old = self.entries.remove(pos);
-            self.entries.push(CacheEntry {
-                seq: inst.seq,
-                trace: inst.trace,
-                faulty: inst.faulty.or(old.faulty),
-            });
-        } else {
-            self.entries.push(CacheEntry {
-                seq: inst.seq,
-                trace: inst.trace,
-                faulty: inst.faulty,
-            });
-            if self.entries.len() > CACHE_CAP {
-                self.entries.remove(0);
-            }
+        self.entries.retain(|e| e.seq != inst.seq);
+        self.entries.push(inst);
+        if self.entries.len() > CACHE_CAP {
+            self.entries.remove(0);
         }
     }
 
@@ -404,7 +387,7 @@ impl PrefixTraceCache {
         best
     }
 
-    pub(crate) fn entry(&self, i: usize) -> &CacheEntry {
+    pub(crate) fn entry(&self, i: usize) -> &CacheInstall {
         &self.entries[i]
     }
 }
@@ -478,24 +461,13 @@ mod tests {
         TestSequence::parse_rows(rows).expect("valid rows")
     }
 
-    fn trace_for(rows: &[&str]) -> (TestSequence, Arc<GoodTrace>) {
-        let c = bench_format::parse(
-            "toy",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(g)\ng = NAND(a, q)\ny = XOR(g, b)\n",
-        )
-        .unwrap();
-        let cc = CompiledCircuit::build(&c);
-        let s = seq(rows);
-        let (t, _) = cc.good_trace(&s, &[Logic3::X]);
-        (s, Arc::new(t))
-    }
-
     fn install_of(rows: &[&str]) -> CacheInstall {
-        let (s, t) = trace_for(rows);
         CacheInstall {
-            seq: s,
-            trace: t,
-            faulty: None,
+            seq: seq(rows),
+            faulty: AnyArtifacts::W64(FaultyArtifacts {
+                fingerprint: 0,
+                store: SnapshotStore::Raw(Vec::new()),
+            }),
         }
     }
 

@@ -1,9 +1,9 @@
 //! Exactness of the prefix-trace cache.
 //!
 //! The cache (`SynthesisConfig::prefix_cache`) resumes candidate
-//! evaluations from the longest shared sequence prefix of an earlier
-//! committed evaluation — good-machine trace and checkpointed
-//! faulty-plane state both. It is a wall-clock optimization only: `Ω`,
+//! evaluations from the checkpointed faulty-plane state of the earlier
+//! committed evaluation sharing the longest sequence prefix. It is a
+//! wall-clock optimization only: `Ω`,
 //! the detection/abandonment flags, and every deterministic telemetry
 //! counter must be bit-identical with the cache on or off, at every
 //! worker count, and across an interrupt/resume boundary (the cache is rebuilt from nothing on
@@ -18,7 +18,7 @@ use wbist::core::{
     Telemetry, TruncationReason,
 };
 use wbist::netlist::{Circuit, FaultList};
-use wbist::sim::{FaultSim, PrefixTraceCache, SimOptions, TestSequence};
+use wbist::sim::{FaultSim, PrefixTraceCache, PreparedOutcome, SimOptions, TestSequence};
 
 type Counters = Vec<(String, u64)>;
 
@@ -83,11 +83,14 @@ fn s1196_setup() -> (Circuit, TestSequence, FaultList, Vec<bool>, SynthesisConfi
 }
 
 /// Cache on vs cache off on a real benchmark: bit-identical results and
-/// deterministic counters at every worker count, the cache actually
-/// fires (nonzero reuse), and the reuse figures are thread-invariant —
-/// the cache is written in walk order, never by worker scheduling.
+/// deterministic counters at every worker count, and reuse figures that
+/// are thread-invariant — the cache is written in walk order, never by
+/// worker scheduling. (This walk's candidates share too few leading
+/// rows for a faulty-plane snapshot to apply; the duplicate-heavy walk
+/// in `tests/selection_identity.rs` and the direct queries below are
+/// where the snapshots demonstrably resume.)
 #[test]
-fn s1196_cache_is_invisible_and_nonzero() {
+fn s1196_cache_is_invisible() {
     let (c, t, faults, pre, base) = s1196_setup();
     let (r0, c0, off_hits, off_skipped) = run_once(&c, &t, &faults, Some(&pre), &base, 1, false);
     assert_eq!((off_hits, off_skipped), (0, 0), "cache off cannot reuse");
@@ -102,10 +105,6 @@ fn s1196_cache_is_invisible_and_nonzero() {
             &format!("cache on, threads={threads}"),
             &reference,
             &(r, counters),
-        );
-        assert!(
-            hits > 0 && skipped > 0,
-            "threads={threads}: the cache must fire on s1196; hits={hits} skipped={skipped}"
         );
         match reuse {
             None => reuse = Some((hits, skipped)),
@@ -200,6 +199,14 @@ fn s1196_interrupted_cache_resumes_bit_identical() {
     std::fs::remove_file(&full_ckpt).ok();
 }
 
+/// Installs a cached dense query's snapshots.
+fn install(cache: &mut PrefixTraceCache, out: PreparedOutcome) {
+    cache.install(
+        out.install
+            .expect("a cached dense query captures snapshots"),
+    );
+}
+
 /// The owner sequence with input `pi`'s stream inverted from cycle `d`
 /// onward: rows `0..d` are shared verbatim, so a prepared evaluation
 /// resumes at exactly `d`.
@@ -217,42 +224,41 @@ fn diverge_at(owner: &TestSequence, d: usize, pi: usize) -> TestSequence {
 }
 
 /// A resumed evaluation equals a from-scratch one at *every*
-/// divergence cycle on s1196: the prepared good trace (shared rows
-/// copied, suffix rescanned) gives the same detection times, the dense
-/// query resumed from faulty-plane snapshots gives the same detections,
-/// and the rebuild rescans every gate of exactly the suffix cycles.
+/// divergence cycle on s1196: the probes' good traces, prepared in
+/// batched sweeps, give the same detection times as raw queries, and the
+/// dense query resumed from faulty-plane snapshots gives the same
+/// detections.
 #[test]
-fn s1196_resumed_trace_matches_from_scratch_at_every_divergence() {
+fn s1196_resumed_query_matches_from_scratch_at_every_divergence() {
     let c = synthetic::by_name("s1196").expect("known benchmark");
     let faults = FaultList::checkpoints(&c);
     let owner = Lfsr::new(24, 0xACE1).sequence(c.num_inputs(), 40);
     let sim = FaultSim::with_options(&c, SimOptions::with_threads(2));
     let mut cache = PrefixTraceCache::new();
-    let prep = sim.prepare_sequence(Some(&cache), &owner);
-    let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-    cache.install(out.install);
+    let out = sim.query(&faults).sequence(&owner).cache(&cache).outcome();
+    install(&mut cache, out);
 
-    for d in 1..owner.len() {
-        let probe = diverge_at(&owner, d, d % c.num_inputs());
-        let prep = sim.prepare_sequence(Some(&cache), &probe);
-        assert_eq!(prep.reused_cycles(), d, "divergence must land at {d}");
+    let probes: Vec<TestSequence> = (1..owner.len())
+        .map(|d| diverge_at(&owner, d, d % c.num_inputs()))
+        .collect();
+    let mut resumed = 0;
+    for (i, prep) in sim.prepare_sequences(&probes).iter().enumerate() {
+        let (d, probe) = (i + 1, &probes[i]);
+        assert_eq!(prep.sequence(), probe);
         assert_eq!(
-            prep.trace_gates_evaluated(),
-            (c.num_gates() * (owner.len() - d)) as u64,
-            "the suffix rescan at cut {d}"
+            sim.query(&faults).prepared(prep).detection_times(),
+            sim.query(&faults).sequence(probe).detection_times(),
+            "prepared trace at cut {d}"
         );
-        assert_eq!(
-            sim.query(&faults).prepared(&prep).detection_times(),
-            sim.query(&faults).sequence(&probe).detection_times(),
-            "resumed trace at cut {d}"
-        );
-        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+        let out = sim.query(&faults).prepared(prep).cache(&cache).outcome();
+        resumed += usize::from(out.resumed_cycles > 0);
         assert_eq!(
             out.detected,
-            sim.query(&faults).sequence(&probe).detected_indices(),
+            sim.query(&faults).sequence(probe).detected_indices(),
             "resumed dense query at cut {d}"
         );
     }
+    assert!(resumed > owner.len() / 2, "most cuts resume: {resumed}");
 }
 
 /// Past the raw-capture cap (`batches × flip-flops > 2^16`, the s35932
@@ -276,21 +282,27 @@ fn spilled_snapshots_resume_bit_identical_past_the_raw_cap() {
     let owner = Lfsr::new(20, 0xBEEF).sequence(c.num_inputs(), 16);
     let sim = FaultSim::with_options(&c, SimOptions::with_threads(4));
     let mut cache = PrefixTraceCache::new();
-    let prep = sim.prepare_sequence(Some(&cache), &owner);
-    let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+    let probe = diverge_at(&owner, 13, 3);
+    let preps = sim.prepare_sequences(&[owner, probe.clone()]);
+    let out = sim
+        .query(&faults)
+        .prepared(&preps[0])
+        .cache(&cache)
+        .outcome();
     assert!(
         out.snapshot_spills > 0,
         "capture must engage the spill tier"
     );
     assert!(out.snapshot_bytes > 0, "spilled snapshots pin bytes");
     assert!(!out.snapshot_capture_denied, "spill fits under the cap");
-    cache.install(out.install);
+    install(&mut cache, out);
 
-    let probe = diverge_at(&owner, 13, 3);
     let scratch = sim.query(&faults).sequence(&probe).detected_indices();
-    let prep = sim.prepare_sequence(Some(&cache), &probe);
-    assert_eq!(prep.reused_cycles(), 13, "the probe shares 13 rows");
-    let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+    let out = sim
+        .query(&faults)
+        .prepared(&preps[1])
+        .cache(&cache)
+        .outcome();
     assert!(
         out.resumed_cycles > 0,
         "spilled snapshots must actually resume fault batches"
@@ -304,7 +316,7 @@ fn spilled_snapshots_resume_bit_identical_past_the_raw_cap() {
 proptest! {
     /// Randomized divergences on s27: the resumed evaluation equals
     /// the from-scratch one at any cut cycle, whichever input stream
-    /// diverges — detection times through the resumed trace, and
+    /// diverges — detection times through the prepared trace, and
     /// detections through the resumed dense query.
     #[test]
     fn s27_resume_matches_from_scratch_at_any_cut(
@@ -320,16 +332,15 @@ proptest! {
         let probe = diverge_at(&owner, cut, pi_sel % c.num_inputs());
         let sim = FaultSim::with_options(&c, SimOptions::with_threads(1));
         let mut cache = PrefixTraceCache::new();
-        let prep = sim.prepare_sequence(Some(&cache), &owner);
-        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
-        cache.install(out.install);
-        let prep = sim.prepare_sequence(Some(&cache), &probe);
-        prop_assert_eq!(prep.reused_cycles(), cut);
+        let preps = sim.prepare_sequences(&[owner, probe.clone()]);
+        let out = sim.query(&faults).prepared(&preps[0]).cache(&cache).outcome();
+        install(&mut cache, out);
+        let prep = &preps[1];
         prop_assert_eq!(
-            sim.query(&faults).prepared(&prep).detection_times(),
+            sim.query(&faults).prepared(prep).detection_times(),
             sim.query(&faults).sequence(&probe).detection_times()
         );
-        let out = sim.query(&faults).prepared(&prep).cache(&cache).outcome();
+        let out = sim.query(&faults).prepared(prep).cache(&cache).outcome();
         prop_assert_eq!(out.detected, sim.query(&faults).sequence(&probe).detected_indices());
     }
 

@@ -80,3 +80,27 @@ fn disabled_handle_exports_a_schema_stable_empty_trace() {
     assert!(trace.contains("\"counters\""));
     assert_eq!(tel.counter("sim.cycles"), 0);
 }
+
+/// Fault-free sweeps are effort: every layer reports the traces it
+/// builds (`sim.good_sweeps`, `sim.good_lanes`), the `--progress`
+/// summary lists them, and the deterministic trace never does — how
+/// sequences are grouped into sweeps is a scheduling choice.
+#[test]
+fn good_machine_sweeps_are_effort_not_trace() {
+    let (tel, trace) = traced_pipeline(2);
+    let (sweeps, lanes) = (tel.effort("sim.good_sweeps"), tel.effort("sim.good_lanes"));
+    assert!(
+        sweeps > 0 && lanes > sweeps,
+        "batched sweeps carry several lanes"
+    );
+    assert!(tel.effort("select.trace_gates_evaluated") > 0);
+    let summary = tel.summary();
+    for name in [
+        "sim.good_sweeps",
+        "sim.good_lanes",
+        "select.trace_gates_evaluated",
+    ] {
+        assert!(summary.contains(name), "summary lists {name}");
+        assert!(!trace.contains(name), "trace omits {name}");
+    }
+}
