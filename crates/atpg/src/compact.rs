@@ -1,23 +1,38 @@
 //! Restoration-based static compaction of test sequences.
 //!
 //! The paper applies static compaction to the deterministic sequences it
-//! consumes. This module implements omission-based compaction: candidate
-//! blocks of vectors are removed and the shortened sequence is re-fault-
-//! simulated from scratch; the removal is kept when coverage does not
-//! drop. Passes run with shrinking block sizes, scanning from the end of
-//! the sequence toward the front (late vectors are most often redundant,
-//! and removing them does not disturb the initialization prefix).
+//! consumes. This module implements omission-based compaction: a trial
+//! removes one block of vectors, and the removal is kept when the
+//! shortened sequence still detects as many faults as the input did.
+//! Passes run with shrinking block sizes, scanning from the end of the
+//! sequence toward the front (late vectors are most often redundant, and
+//! removing them does not disturb the initialization prefix).
+//!
+//! Because a pass only moves its trial window toward the head, the rows
+//! in front of the window are always the pass's starting rows. Each pass
+//! therefore simulates its starting sequence once, keeping a
+//! [`FaultSimState`] snapshot at every block start a trial can use, and
+//! a trial resumes from the snapshot at its window and simulates only
+//! the rows after the omitted block. Simulation is a deterministic
+//! function of the applied rows, so every trial reaches the verdict a
+//! from-scratch simulation of the shortened sequence would.
 
 use wbist_netlist::{Circuit, FaultList};
-use wbist_sim::{FaultSim, TestSequence};
+use wbist_sim::{FaultSim, FaultSimState, TestSequence};
+
+/// Heap bytes of [`FaultSimState`] snapshots one compaction pass keeps.
+/// Past it a pass keeps every k-th trial start only, and a trial
+/// between two kept starts first re-simulates the rows from the nearest
+/// earlier one.
+const SNAPSHOT_BUDGET: usize = 1 << 20;
 
 /// Configuration for [`compact`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionConfig {
     /// Block sizes tried, in order. Defaults to `[64, 16, 4, 1]`.
     pub block_sizes: Vec<usize>,
-    /// Upper bound on full-sequence re-simulations (compaction is
-    /// quadratic in the worst case; this caps the effort).
+    /// Upper bound on omission trials (compaction is quadratic in the
+    /// worst case; this caps the effort).
     pub max_trials: usize,
 }
 
@@ -44,17 +59,38 @@ pub fn compact(
     sequence: &TestSequence,
     config: &CompactionConfig,
 ) -> TestSequence {
+    compact_with_snapshot_budget(circuit, faults, sequence, config, SNAPSHOT_BUDGET)
+}
+
+/// [`compact`] with the snapshot byte budget as a parameter, so tests can
+/// drive the sparse-snapshot path on small circuits. The result does not
+/// depend on `budget`. Not part of the public API.
+#[doc(hidden)]
+pub fn compact_with_snapshot_budget(
+    circuit: &Circuit,
+    faults: &FaultList,
+    sequence: &TestSequence,
+    config: &CompactionConfig,
+    budget: usize,
+) -> TestSequence {
     let sim = FaultSim::new(circuit);
     let target = sim.query(faults).sequence(sequence).count();
     let mut current = sequence.clone();
     let mut trials = 0usize;
 
     for &bs in &config.block_sizes {
-        if bs == 0 {
+        if bs == 0 || current.len() <= bs {
             continue;
         }
-        // Scan block starts from the tail toward the head.
-        let mut start = current.len().saturating_sub(bs);
+        if trials >= config.max_trials {
+            break;
+        }
+        // Scan block starts from the tail toward the head. The starts
+        // the remaining trials can reach are `len − k·bs` (clamped at 0).
+        let first = current.len() - bs;
+        let lowest = first.saturating_sub((config.max_trials - trials - 1).saturating_mul(bs));
+        let snapshots = Snapshots::capture(&sim, faults, &current, bs, lowest, budget);
+        let mut start = first;
         loop {
             if trials >= config.max_trials {
                 return current;
@@ -62,27 +98,86 @@ pub fn compact(
             if current.len() <= bs {
                 break;
             }
-            let omit: Vec<usize> = (start..(start + bs).min(current.len())).collect();
-            let shorter = current.without_rows(&omit);
+            let end = (start + bs).min(current.len());
             trials += 1;
-            if sim.query(faults).sequence(&shorter).count() >= target {
-                current = shorter;
+            if snapshots.trial_keeps(&sim, &current, start, end, target) {
+                current = current.without_rows(&(start..end).collect::<Vec<_>>());
                 // The window now covers fresh rows; stay at the same start
                 // unless it ran off the end.
-                if start >= current.len() {
-                    if start == 0 {
-                        break;
-                    }
-                    start = start.saturating_sub(bs);
+                if start < current.len() {
+                    continue;
                 }
-            } else if start == 0 {
-                break;
-            } else {
-                start = start.saturating_sub(bs);
             }
+            if start == 0 {
+                break;
+            }
+            start = start.saturating_sub(bs);
         }
     }
     current
+}
+
+/// The fault-simulation states of one pass's starting sequence at the
+/// trial starts it keeps, ascending by start.
+struct Snapshots {
+    states: Vec<(usize, FaultSimState)>,
+}
+
+impl Snapshots {
+    /// Simulates `seq` from the all-`X` state up to the last trial start
+    /// `seq.len() − bs`, keeping the state at the starts `seq.len() −
+    /// k·bs` (clamped at 0) that are not below `lowest`. When they would
+    /// exceed `budget` bytes, only every k-th of them is kept, the
+    /// lowest always.
+    fn capture(
+        sim: &FaultSim<'_>,
+        faults: &FaultList,
+        seq: &TestSequence,
+        bs: usize,
+        lowest: usize,
+        budget: usize,
+    ) -> Snapshots {
+        let mut starts: Vec<usize> = (1..)
+            .map(|k| seq.len().saturating_sub(k * bs))
+            .take_while(|&s| s > lowest)
+            .collect();
+        starts.push(lowest);
+        starts.reverse();
+        let mut state = sim.begin(faults);
+        let per_state = state.clone_bytes().max(1);
+        let stride = (starts.len() * per_state).div_ceil(budget.max(per_state));
+        let mut states = Vec::with_capacity(starts.len().div_ceil(stride));
+        let mut at = 0;
+        for &s in starts.iter().step_by(stride) {
+            sim.advance(&mut state, &seq.slice(at..s));
+            at = s;
+            states.push((s, state.clone()));
+        }
+        Snapshots { states }
+    }
+
+    /// Whether omitting rows `[start, end)` of `seq` keeps at least
+    /// `target` detections. Rows `[0, start)` of `seq` must equal those
+    /// of the sequence the snapshots were captured from.
+    fn trial_keeps(
+        &self,
+        sim: &FaultSim<'_>,
+        seq: &TestSequence,
+        start: usize,
+        end: usize,
+        target: usize,
+    ) -> bool {
+        let i = self.states.partition_point(|&(s, _)| s <= start) - 1;
+        let (at, base) = &self.states[i];
+        if base.num_detected() >= target {
+            return true;
+        }
+        let mut rest = seq.slice(*at..start);
+        rest.append(&seq.slice(end..seq.len()));
+        let mut state = base.clone();
+        sim.advance(&mut state, &rest);
+        state.num_detected() >= target
+    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! with per-input biases, plus mutations of the previous winner — and
 //! fault-simulates every candidate *incrementally* from the current
 //! good/faulty machine states (no re-simulation of the prefix). The block
-//! that detects the most new faults is committed. When no candidate makes
-//! progress, exploration continues for a bounded number of rounds (the
-//! circuit still walks through state space, which is how hard-to-reach
-//! states get found) before giving up.
+//! that detects the most new faults is committed together with the state
+//! its probe reached, so a winner is simulated once. When no candidate
+//! makes progress, exploration continues for a bounded number of rounds
+//! (the circuit still walks through state space, which is how
+//! hard-to-reach states get found) before giving up.
 //!
 //! Candidate evaluation uses a *sample* of the undetected faults for
 //! speed; the committed block is always simulated against the full
@@ -115,24 +116,32 @@ impl<'c> SequenceAtpg<'c> {
             && stale_rounds < self.config.patience
         {
             let sample = self.pick_sample(&state, &mut rng);
-            let mut best: Option<(usize, TestSequence)> = None;
+            // The best candidate so far, with its probe state when the
+            // probe ran the whole block (a sample miss skips it).
+            let mut best: Option<(usize, TestSequence, Option<FaultSimState>)> = None;
             for ci in 0..self.config.candidates {
                 let cand = self.candidate(ci, &last_best, n_inputs, &mut rng);
                 // Fast sample evaluation; exact commit below.
-                let mut probe = state.clone();
-                let gained = if sample.is_empty() || sim.sample_detects(&state, &sample, &cand) {
-                    sim.advance(&mut probe, &cand)
-                } else {
-                    0
-                };
-                if best.as_ref().is_none_or(|&(b, _)| gained > b) {
-                    best = Some((gained, cand));
+                let (gained, probe) =
+                    if sample.is_empty() || sim.sample_detects(&state, &sample, &cand) {
+                        let mut probe = state.clone();
+                        (sim.advance(&mut probe, &cand), Some(probe))
+                    } else {
+                        (0, None)
+                    };
+                if best.as_ref().is_none_or(|&(b, _, _)| gained > b) {
+                    best = Some((gained, cand, probe));
                 }
             }
-            let (gained, block) = best.expect("candidates > 0");
+            let (gained, block, probe) = best.expect("candidates > 0");
             // Commit the winner even when it gains nothing: walking the
-            // state space is what eventually reaches hard states.
-            sim.advance(&mut state, &block);
+            // state space is what eventually reaches hard states. A probe
+            // that ran the whole block already holds the committed state.
+            if let Some(probe) = probe {
+                state = probe;
+            } else {
+                sim.advance(&mut state, &block);
+            }
             t.append(&block);
             last_best = Some(block);
             if gained > 0 {

@@ -182,6 +182,24 @@ pub struct Table6Row {
     /// Whether the weighted sequences reached `T`'s coverage (the
     /// paper's guarantee; not a Table-6 column but asserted by it).
     pub coverage_guaranteed: bool,
+    /// [`sequence_hash`] of `T`: pins the compacted sequence itself, not
+    /// only its length (JSON only; not a Table-6 column).
+    pub t_hash: u64,
+}
+
+/// 64-bit FNV-1a over the rows of `seq` as text: one `0`/`1` byte per
+/// input and a `\n` after every row. Written out by hand because
+/// `DefaultHasher`'s output may change between toolchains.
+pub fn sequence_hash(seq: &TestSequence) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let byte = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(PRIME);
+    seq.iter().fold(OFFSET, |h, row| {
+        let h = row
+            .iter()
+            .fold(h, |h, &bit| byte(h, if bit { b'1' } else { b'0' }));
+        byte(h, b'\n')
+    })
 }
 
 /// Builds the Table-6 row of one run.
@@ -219,6 +237,7 @@ pub fn table6_row(run: &CircuitRun) -> Table6Row {
         fsm_num: bank.num_fsms(),
         fsm_out: bank.total_outputs(),
         coverage_guaranteed: guaranteed,
+        t_hash: sequence_hash(&run.sequence),
     }
 }
 
@@ -236,6 +255,7 @@ impl Table6Row {
             ("fsm_num", self.fsm_num.into()),
             ("fsm_out", self.fsm_out.into()),
             ("coverage_guaranteed", self.coverage_guaranteed.into()),
+            ("t_hash", format!("{:016x}", self.t_hash).as_str().into()),
         ])
     }
 }

@@ -133,24 +133,95 @@ pub fn observation_point_tradeoff(
         };
     }
 
+    // The greedy order depends on the detection matrix alone, so it is
+    // fixed first and the steps' good traces are prepared a batch of
+    // steps per sweep.
+    let order = greedy_order(&det, total_covered);
     let mut covered = vec![false; faults.len()];
     let mut in_lim: Vec<usize> = Vec::new();
     // Accumulated OP(f) candidate lines per still-uncovered fault.
     let mut op_lines: Vec<Vec<NetId>> = vec![Vec::new(); faults.len()];
     let mut rows = Vec::new();
 
-    while covered.iter().filter(|&&c| c).count() < total_covered {
-        if let Some(reason) = opts.run.cancel.cancelled() {
-            // Budget tripped: return the rows built so far — each is a
-            // complete, valid trade-off point on its own.
-            crate::runctl::note_truncation(&tel, reason);
-            break;
+    'steps: for chunk in order.chunks(PREPARE_BATCH) {
+        let seqs: Vec<TestSequence> = chunk
+            .iter()
+            .map(|&a| omega[a].sequence(sequence_length))
+            .collect();
+        for (&best, prep) in chunk.iter().zip(sim.prepare_sequences(&seqs)) {
+            if let Some(reason) = opts.run.cancel.cancelled() {
+                // Budget tripped: return the rows built so far — each is
+                // a complete, valid trade-off point on its own.
+                crate::runctl::note_truncation(&tel, reason);
+                break 'steps;
+            }
+            in_lim.push(best);
+
+            // Update OP candidates for faults still uncovered, under the
+            // new assignment's sequence, *before* marking its detections
+            // (a fault detected by this assignment needs no observation
+            // point).
+            let live: Vec<usize> = (0..faults.len())
+                .filter(|&i| covered_by_omega[i] && !covered[i] && !det[best][i])
+                .collect();
+            if !live.is_empty() {
+                let live_faults: FaultList = live.iter().map(|&i| faults.faults()[i]).collect();
+                let lines = sim.query(&live_faults).prepared(&prep).observable_lines();
+                for (k, &i) in live.iter().enumerate() {
+                    for &net in &lines[k] {
+                        if !op_lines[i].contains(&net) {
+                            op_lines[i].push(net);
+                        }
+                    }
+                }
+            }
+            for (c, &f) in covered.iter_mut().zip(&det[best]) {
+                *c |= f;
+            }
+
+            let covered_now = covered.iter().filter(|&&c| c).count();
+            let remaining: Vec<usize> = (0..faults.len())
+                .filter(|&i| covered_by_omega[i] && !covered[i])
+                .collect();
+            let (obs, coverable) = select_cover(&remaining, &op_lines);
+            tel.add("obs.rows", 1);
+            // `select_cover` picks one line per greedy iteration.
+            tel.add("obs.cover_iterations", obs.len() as u64);
+
+            let subs = distinct_subsequences(omega, &in_lim);
+            rows.push(ObsRow {
+                num_assignments: in_lim.len(),
+                num_subsequences: subs,
+                max_len: in_lim
+                    .iter()
+                    .map(|&a| omega[a].assignment.max_len())
+                    .max()
+                    .unwrap_or(0),
+                fault_efficiency: 100.0 * covered_now as f64 / total_covered as f64,
+                num_obs: obs.len(),
+                fe_with_obs: 100.0 * (covered_now + coverable) as f64 / total_covered as f64,
+                obs_lines: obs,
+            });
         }
-        // Greedy: assignment with the largest marginal gain.
+    }
+
+    ObsTradeoff {
+        rows,
+        total_covered,
+    }
+}
+
+/// The greedy growth order of `Ω_lim`: each step adds the assignment
+/// detecting the most still-uncovered faults (the last on ties), until
+/// the `total_covered` faults of the full `Ω` are covered.
+fn greedy_order(det: &[Vec<bool>], total_covered: usize) -> Vec<usize> {
+    let mut covered = vec![false; det.first().map_or(0, Vec::len)];
+    let mut order: Vec<usize> = Vec::new();
+    while covered.iter().filter(|&&c| c).count() < total_covered {
         let (best, _) = det
             .iter()
             .enumerate()
-            .filter(|(a, _)| !in_lim.contains(a))
+            .filter(|(a, _)| !order.contains(a))
             .map(|(a, flags)| {
                 let gain = flags
                     .iter()
@@ -161,61 +232,12 @@ pub fn observation_point_tradeoff(
             })
             .max_by_key(|&(_, gain)| gain)
             .expect("uncovered faults remain, so some assignment helps");
-        in_lim.push(best);
-
-        // Update OP candidates for faults still uncovered, under the new
-        // assignment's sequence, *before* marking its detections (a fault
-        // detected by this assignment needs no observation point).
-        let live: Vec<usize> = (0..faults.len())
-            .filter(|&i| covered_by_omega[i] && !covered[i] && !det[best][i])
-            .collect();
-        if !live.is_empty() {
-            let live_faults: FaultList = live.iter().map(|&i| faults.faults()[i]).collect();
-            let lines = sim
-                .query(&live_faults)
-                .sequence(&omega[best].sequence(sequence_length))
-                .observable_lines();
-            for (k, &i) in live.iter().enumerate() {
-                for &net in &lines[k] {
-                    if !op_lines[i].contains(&net) {
-                        op_lines[i].push(net);
-                    }
-                }
-            }
-        }
+        order.push(best);
         for (c, &f) in covered.iter_mut().zip(&det[best]) {
             *c |= f;
         }
-
-        let covered_now = covered.iter().filter(|&&c| c).count();
-        let remaining: Vec<usize> = (0..faults.len())
-            .filter(|&i| covered_by_omega[i] && !covered[i])
-            .collect();
-        let (obs, coverable) = select_cover(&remaining, &op_lines);
-        tel.add("obs.rows", 1);
-        // `select_cover` picks one line per greedy iteration.
-        tel.add("obs.cover_iterations", obs.len() as u64);
-
-        let subs = distinct_subsequences(omega, &in_lim);
-        rows.push(ObsRow {
-            num_assignments: in_lim.len(),
-            num_subsequences: subs,
-            max_len: in_lim
-                .iter()
-                .map(|&a| omega[a].assignment.max_len())
-                .max()
-                .unwrap_or(0),
-            fault_efficiency: 100.0 * covered_now as f64 / total_covered as f64,
-            num_obs: obs.len(),
-            fe_with_obs: 100.0 * (covered_now + coverable) as f64 / total_covered as f64,
-            obs_lines: obs,
-        });
     }
-
-    ObsTradeoff {
-        rows,
-        total_covered,
-    }
+    order
 }
 
 /// Greedy set cover: picks lines until every fault in `remaining` with a

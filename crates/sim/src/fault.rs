@@ -202,9 +202,19 @@ struct DenseRun {
     capture_denied: bool,
 }
 
-/// One batch of up to `W::BITS − 1` faults sharing a simulation word.
+/// One batch of up to `W::BITS − 1` faults sharing a simulation word:
+/// the immutable [`BatchPlan`] behind an `Arc`, so cloning a
+/// [`FaultSimState`] copies only the live mask, never the schedule.
 #[derive(Debug, Clone)]
 struct Batch<W> {
+    plan: Arc<BatchPlan<W>>,
+    /// Mask of bits that carry live (not yet detected) faults.
+    live: W,
+}
+
+/// The part of a [`Batch`] fixed at build time.
+#[derive(Debug)]
+struct BatchPlan<W> {
     /// Global fault indices; fault `k` of the batch occupies bit `k + 1`.
     fault_indices: Vec<usize>,
     /// Global fault index → its bit mask, sorted by index (the inverse
@@ -212,8 +222,6 @@ struct Batch<W> {
     bit_index: Vec<(usize, W)>,
     /// The batch's injections, flattened into topo-sorted arrays.
     sched: compiled::Schedule<W>,
-    /// Mask of bits that carry live (not yet detected) faults.
-    live: W,
 }
 
 impl<W: Word> Batch<W> {
@@ -227,20 +235,24 @@ impl<W: Word> Batch<W> {
             live |= bit;
         }
         debug_assert!(bit_index.windows(2).all(|w| w[0].0 < w[1].0));
-        Batch {
+        let plan = BatchPlan {
             fault_indices: faults.iter().map(|&(i, _)| i).collect(),
             bit_index,
             sched: compiled::Schedule::build(circuit, cc, faults),
+        };
+        Batch {
+            plan: Arc::new(plan),
             live,
         }
     }
 
     /// Bit mask (bit 1 up) of a global fault index within this batch.
     fn bit_of(&self, global: usize) -> Option<W> {
-        self.bit_index
+        let index = &self.plan.bit_index;
+        index
             .binary_search_by_key(&global, |&(gi, _)| gi)
             .ok()
-            .map(|i| self.bit_index[i].1)
+            .map(|i| index[i].1)
     }
 }
 
@@ -347,6 +359,18 @@ impl FaultSimState {
         self.elapsed
     }
 
+    /// Heap bytes a clone of this state owns: the live masks, flip-flop
+    /// planes, fault-free flip-flop state, detected flags and
+    /// transition-delay launch state. The batches' fault indices and
+    /// injection schedules are shared between clones and not counted.
+    pub fn clone_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let nets = self.prev_nets.as_ref().map_or(0, Vec::len);
+        with_lanes!(&self.lanes, l => lane_bytes(l))
+            + (self.good_ff.len() + nets) * size_of::<Logic3>()
+            + self.detected.len() * size_of::<bool>()
+    }
+
     /// Raw per-batch flip-flop planes for differential tests: one entry
     /// per batch of `(live-or-good mask, per-DFF (ones, zeros))`, each
     /// word exported as little-endian `u64` limbs so the surface is
@@ -368,6 +392,15 @@ impl FaultSimState {
     pub fn debug_fault_ff(&self, global: usize) -> Option<Vec<Logic3>> {
         with_lanes!(&self.lanes, l => debug_fault_ff(l, global))
     }
+}
+
+/// The per-clone heap bytes of a [`Lanes`]: batch headers and flip-flop
+/// planes (the plans behind the batches' `Arc`s are shared).
+fn lane_bytes<W: Word>(l: &Lanes<W>) -> usize {
+    use std::mem::size_of;
+    let planes: usize = l.ff.iter().map(Vec::len).sum();
+    l.batches.len() * (size_of::<Batch<W>>() + size_of::<Vec<Planes<W>>>())
+        + planes * size_of::<Planes<W>>()
 }
 
 /// Width-erased export behind [`FaultSimState::debug_ff_planes`].
@@ -880,7 +913,7 @@ impl<'c> FaultSim<'c> {
                     let mut ff_run = ff.clone();
                     let (new_live, stats) = self.run_one(
                         reference,
-                        &batch.sched,
+                        &batch.plan.sched,
                         batch.live,
                         seq,
                         trace,
@@ -892,7 +925,7 @@ impl<'c> FaultSim<'c> {
                         |_, ctx: &CycleCtx<W>| {
                             let detected_now = ctx.obs_diff & ctx.live;
                             if !detected_now.is_zero() {
-                                collect_hits(&batch.fault_indices, detected_now, |gi| {
+                                collect_hits(&batch.plan.fault_indices, detected_now, |gi| {
                                     found.push(gi)
                                 });
                             }
@@ -1097,7 +1130,7 @@ impl<'c> FaultSim<'c> {
                 };
                 let (_, stats) = self.run_one(
                     reference,
-                    &batch.sched,
+                    &batch.plan.sched,
                     batch.live,
                     seq,
                     trace,
@@ -1109,7 +1142,7 @@ impl<'c> FaultSim<'c> {
                     |u, ctx: &CycleCtx<W>| {
                         let detected_now = ctx.obs_diff & ctx.live;
                         if !detected_now.is_zero() {
-                            collect_hits(&batch.fault_indices, detected_now, |gi| {
+                            collect_hits(&batch.plan.fault_indices, detected_now, |gi| {
                                 found.push((gi, u))
                             });
                         }
@@ -1227,7 +1260,7 @@ impl<'c> FaultSim<'c> {
                 let mut cancelled = 0usize;
                 let (_, stats) = self.run_one(
                     reference,
-                    &batch.sched,
+                    &batch.plan.sched,
                     batch.live,
                     seq,
                     trace,
@@ -1317,7 +1350,7 @@ impl<'c> FaultSim<'c> {
                 let mut acc = vec![W::ZERO; num_nets];
                 let (_, stats) = self.run_one(
                     reference,
-                    &batch.sched,
+                    &batch.plan.sched,
                     batch.live,
                     seq,
                     trace,
@@ -1334,6 +1367,7 @@ impl<'c> FaultSim<'c> {
                     },
                 );
                 let lines = batch
+                    .plan
                     .fault_indices
                     .iter()
                     .enumerate()
@@ -1424,7 +1458,7 @@ impl<'c> FaultSim<'c> {
                 let mut cancelled = 0usize;
                 let (_, stats) = self.run_one(
                     reference,
-                    &batch.sched,
+                    &batch.plan.sched,
                     wanted,
                     seq,
                     trace,

@@ -142,4 +142,41 @@ proptest! {
         sim.advance(&mut st, &seq.slice(cut..seq.len()));
         prop_assert_eq!(st.detected(), &oneshot[..], "split at {}", cut);
     }
+
+    /// A `FaultSimState` clone is independent of its original: the
+    /// batches share only their immutable plans, so advancing the clone
+    /// over another sequence leaves the original's detected flags,
+    /// elapsed time, flip-flop planes and next `advance` result exactly
+    /// as if the clone had never existed — for both fault models at
+    /// every compiled word width.
+    #[test]
+    fn state_clones_advance_independently(seed in any::<u64>(), cut in 1usize..31) {
+        let c = SyntheticSpec::new("difk", 6, 4, 5, 60, seed % 16).build();
+        let seq = Lfsr::new(21, (seed % 3000) as u32 + 17).sequence(6, 32);
+        let other = Lfsr::new(22, (seed % 2000) as u32 + 5).sequence(6, 24);
+        for model in FaultModel::ALL {
+            let faults = FaultUniverse::enumerate(model, &c);
+            prop_assert!(faults.len() > 63, "fault list must span batches");
+            for width in std::iter::once(WordWidth::W64).chain(wide_widths()) {
+                let sim = FaultSim::with_options(&c, SimOptions::with_threads(1).word_width(width));
+                let head = seq.slice(0..cut);
+                let mut untouched = sim.begin(&faults);
+                sim.advance(&mut untouched, &head);
+                let mut st = sim.begin(&faults);
+                sim.advance(&mut st, &head);
+                let mut clone = st.clone();
+                sim.advance(&mut clone, &other);
+                prop_assert_eq!(st.detected(), untouched.detected(), "{:?} {:?}", model, width);
+                prop_assert_eq!(st.elapsed(), cut);
+                let rest = seq.slice(cut..seq.len());
+                let newly = sim.advance(&mut st, &rest);
+                prop_assert_eq!(newly, sim.advance(&mut untouched, &rest), "{:?} {:?}", model, width);
+                prop_assert_eq!(st.detected(), untouched.detected());
+                prop_assert_eq!(st.elapsed(), seq.len());
+                for f in 0..faults.len() {
+                    prop_assert_eq!(st.debug_fault_ff(f), untouched.debug_fault_ff(f));
+                }
+            }
+        }
+    }
 }
