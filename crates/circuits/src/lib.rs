@@ -20,4 +20,4 @@ pub mod s27;
 pub mod structured;
 pub mod synthetic;
 
-pub use synthetic::{generate, table6_specs, SyntheticSpec};
+pub use synthetic::{generate, table6_specs, wide_fanin, SyntheticSpec};

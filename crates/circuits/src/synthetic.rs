@@ -297,6 +297,92 @@ fn pick_source(rng: &mut StdRng, pool: &[NetId], used: &[bool]) -> usize {
     }
 }
 
+/// A random sequential circuit of wide gates: every AND, NAND, OR, NOR,
+/// XOR and XNOR gate reads 5–9 operands. [`generate`] keeps fan-in at
+/// 1–4, so this family exists to exercise the code paths of wider gates.
+///
+/// The `gates` body gates rotate through all eight kinds, NOT and BUF
+/// included, so eight or more give every kind. Operands are drawn, with
+/// repeats, from the primary inputs, the flip-flop outputs (`X` after
+/// power-up, so XOR and XNOR gates see `X` operands) and earlier gates.
+/// Each flip-flop loads a five-input AND or NOR of a primary input and
+/// four other signals, so a controlling primary input resolves its state.
+/// The last `min(3, gates)` body gates drive the primary outputs.
+///
+/// # Panics
+///
+/// Panics if `inputs == 0` or `gates == 0`.
+pub fn wide_fanin(
+    name: impl Into<String>,
+    inputs: usize,
+    dffs: usize,
+    gates: usize,
+    seed: u64,
+) -> Circuit {
+    const KINDS: [GateKind; 8] = [
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+    ];
+    assert!(inputs > 0, "need at least one primary input");
+    assert!(gates > 0, "need at least one gate");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut c = Circuit::new(name);
+    let pis: Vec<NetId> = (0..inputs).map(|i| c.add_input(&format!("I{i}"))).collect();
+    let ffs: Vec<NetId> = (0..dffs)
+        .map(|k| {
+            c.add_dff(&format!("FF{k}"), None)
+                .expect("fresh DFF names are unique")
+        })
+        .collect();
+    let mut pool: Vec<NetId> = pis.iter().chain(&ffs).copied().collect();
+    // Half the operands come from the eight newest signals, for depth.
+    let pick = |rng: &mut StdRng, pool: &[NetId]| {
+        let lo = if rng.gen_bool(0.5) {
+            pool.len().saturating_sub(8)
+        } else {
+            0
+        };
+        pool[rng.gen_range(lo..pool.len())]
+    };
+    for g in 0..gates {
+        let kind = KINDS[g % KINDS.len()];
+        let fanin = if kind.arity_ok(2) {
+            rng.gen_range(5..=9)
+        } else {
+            1
+        };
+        let ins: Vec<NetId> = (0..fanin).map(|_| pick(&mut rng, &pool)).collect();
+        let out = c
+            .add_gate(kind, &format!("W{g}"), &ins)
+            .expect("fresh gate names are unique");
+        pool.push(out);
+    }
+    for (k, &q) in ffs.iter().enumerate() {
+        let kind = if k % 2 == 0 {
+            GateKind::And
+        } else {
+            GateKind::Nor
+        };
+        let mut ins = vec![pis[rng.gen_range(0..pis.len())]];
+        ins.extend((0..4).map(|_| pick(&mut rng, &pool)));
+        let d = c
+            .add_gate(kind, &format!("NS{k}"), &ins)
+            .expect("fresh gate names are unique");
+        c.connect_dff_data(q, d).expect("q is a DFF output");
+    }
+    for &o in &pool[pool.len() - gates.min(3)..] {
+        c.mark_output(o);
+    }
+    c.levelize()
+        .expect("generator constructs only valid circuits")
+}
+
 /// The synthetic stand-ins for the circuits of Table 6 of the paper, with
 /// PI/PO/FF/gate counts matching the published ISCAS-89 statistics.
 ///

@@ -326,15 +326,14 @@ impl<'a> Synthesis<'a> {
         // recomputes it with telemetry disabled — its cost is already
         // inside the restored counters — and without the token, so a
         // tiny budget cannot corrupt the detection times everything
-        // else depends on.
+        // else depends on. It shares `sim`'s lowering.
         let setup_run = if resume.is_some() {
-            cfg.run
-                .clone()
-                .telemetry(Telemetry::disabled())
-                .cancel(CancelToken::unlimited())
+            cfg.run.clone().telemetry(Telemetry::disabled())
         } else {
-            cfg.run.clone().cancel(CancelToken::unlimited())
-        };
+            cfg.run.clone()
+        }
+        .cancel(CancelToken::unlimited())
+        .compiled(sim.compiled_handle());
         let setup_sim = FaultSim::with_run_options(circuit, &setup_run);
         let det_times = setup_sim.query(faults).sequence(t).detection_times();
         let target: Vec<bool> = det_times

@@ -33,9 +33,12 @@ pub fn parse(name: &str, src: &str) -> Result<Circuit, NetlistError> {
         });
     }
     let mut c = Circuit::new(name);
-    // Deferred wiring: (line_no, lhs, keyword, args)
-    let mut dff_data: Vec<(usize, String, String)> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
+    // Deferred wiring, borrowed from `src`: (line_no, q, d) per flip-flop
+    // and the output names.
+    let mut dff_data: Vec<(usize, &str, &str)> = Vec::new();
+    let mut outputs: Vec<&str> = Vec::new();
+    // Gate input nets, reused from line to line.
+    let mut ins: Vec<NetId> = Vec::new();
 
     for (ln0, raw) in src.lines().enumerate() {
         let line_no = ln0 + 1;
@@ -47,109 +50,101 @@ pub fn parse(name: &str, src: &str) -> Result<Circuit, NetlistError> {
         if line.is_empty() {
             continue;
         }
-
-        let parse_call = |text: &str| -> Result<(String, Vec<String>), NetlistError> {
-            let open = text.find('(').ok_or(NetlistError::Parse {
-                line: line_no,
-                message: "expected `(`".into(),
-            })?;
-            let close = text.rfind(')').ok_or(NetlistError::Parse {
-                line: line_no,
-                message: "expected `)`".into(),
-            })?;
-            if close < open {
-                return Err(NetlistError::Parse {
-                    line: line_no,
-                    message: "mismatched parentheses".into(),
-                });
-            }
-            let head = text[..open].trim().to_string();
-            let args: Vec<String> = text[open + 1..close]
-                .split(',')
-                .map(|a| a.trim().to_string())
-                .filter(|a| !a.is_empty())
-                .collect();
-            Ok((head, args))
+        let parse_err = |message: String| NetlistError::Parse {
+            line: line_no,
+            message,
         };
 
         if let Some(eq) = line.find('=') {
-            let lhs = line[..eq].trim().to_string();
-            let rhs = line[eq + 1..].trim();
-            let (head, args) = parse_call(rhs)?;
-            let upper = head.to_ascii_uppercase();
-            match upper.as_str() {
-                "DFF" => {
-                    if args.len() != 1 {
-                        return Err(NetlistError::Parse {
-                            line: line_no,
-                            message: format!("DFF takes one input, got {}", args.len()),
-                        });
+            let lhs = line[..eq].trim();
+            let (head, list) = split_call(line[eq + 1..].trim(), line_no)?;
+            if head.eq_ignore_ascii_case("DFF") {
+                let mut args = call_args(list);
+                match (args.next(), args.next()) {
+                    (Some(d), None) => {
+                        c.add_dff(lhs, None)?;
+                        dff_data.push((line_no, lhs, d));
                     }
-                    c.add_dff(&lhs, None)?;
-                    dff_data.push((line_no, lhs, args[0].clone()));
-                }
-                "CONST0" | "CONST1" => {
-                    if !args.is_empty() {
-                        return Err(NetlistError::Parse {
-                            line: line_no,
-                            message: format!("{upper} takes no inputs"),
-                        });
+                    _ => {
+                        return Err(parse_err(format!(
+                            "DFF takes one input, got {}",
+                            call_args(list).count()
+                        )));
                     }
-                    c.add_const(&lhs, upper == "CONST1")?;
                 }
-                _ => {
-                    let kind =
-                        GateKind::from_keyword(&upper).ok_or_else(|| NetlistError::Parse {
-                            line: line_no,
-                            message: format!("unknown gate keyword `{head}`"),
-                        })?;
-                    if args.is_empty() {
-                        return Err(NetlistError::Parse {
-                            line: line_no,
-                            message: format!("{upper} needs at least one input"),
-                        });
-                    }
-                    let ins: Vec<NetId> = args.iter().map(|a| c.declare_net(a)).collect();
-                    c.add_gate(kind, &lhs, &ins)?;
+            } else if head.eq_ignore_ascii_case("CONST0") || head.eq_ignore_ascii_case("CONST1") {
+                if call_args(list).next().is_some() {
+                    return Err(parse_err(format!(
+                        "{} takes no inputs",
+                        head.to_ascii_uppercase()
+                    )));
                 }
+                c.add_const(lhs, head.eq_ignore_ascii_case("CONST1"))?;
+            } else {
+                let kind = GateKind::from_keyword(head)
+                    .ok_or_else(|| parse_err(format!("unknown gate keyword `{head}`")))?;
+                if call_args(list).next().is_none() {
+                    return Err(parse_err(format!(
+                        "{} needs at least one input",
+                        head.to_ascii_uppercase()
+                    )));
+                }
+                ins.clear();
+                ins.extend(call_args(list).map(|a| c.declare_net(a)));
+                c.add_gate(kind, lhs, &ins)?;
             }
         } else {
-            let (head, args) = parse_call(line)?;
-            let upper = head.to_ascii_uppercase();
-            if args.len() != 1 {
-                return Err(NetlistError::Parse {
-                    line: line_no,
-                    message: format!("{upper} takes one net name"),
-                });
-            }
-            match upper.as_str() {
-                "INPUT" => {
-                    c.try_add_input(&args[0])?;
-                }
-                "OUTPUT" => outputs.push(args[0].clone()),
-                _ => {
-                    return Err(NetlistError::Parse {
-                        line: line_no,
-                        message: format!("unknown directive `{head}`"),
-                    });
-                }
+            let (head, list) = split_call(line, line_no)?;
+            let mut args = call_args(list);
+            let (Some(net), None) = (args.next(), args.next()) else {
+                return Err(parse_err(format!(
+                    "{} takes one net name",
+                    head.to_ascii_uppercase()
+                )));
+            };
+            if head.eq_ignore_ascii_case("INPUT") {
+                c.try_add_input(net)?;
+            } else if head.eq_ignore_ascii_case("OUTPUT") {
+                outputs.push(net);
+            } else {
+                return Err(parse_err(format!("unknown directive `{head}`")));
             }
         }
     }
 
     for (line_no, q, d) in dff_data {
-        let qn = c.net_by_name(&q).ok_or_else(|| NetlistError::Parse {
+        let qn = c.net_by_name(q).ok_or_else(|| NetlistError::Parse {
             line: line_no,
             message: format!("flip-flop output `{q}` lost during parsing"),
         })?;
-        let dn = c.declare_net(&d);
+        let dn = c.declare_net(d);
         c.connect_dff_data(qn, dn)?;
     }
     for o in outputs {
-        let net = c.declare_net(&o);
+        let net = c.declare_net(o);
         c.mark_output(net);
     }
     c.levelize()
+}
+
+/// Splits `head(args)` into the trimmed head and the text between the
+/// first `(` and the last `)`.
+fn split_call(text: &str, line_no: usize) -> Result<(&str, &str), NetlistError> {
+    let err = |message: &str| NetlistError::Parse {
+        line: line_no,
+        message: message.into(),
+    };
+    let open = text.find('(').ok_or_else(|| err("expected `(`"))?;
+    let close = text.rfind(')').ok_or_else(|| err("expected `)`"))?;
+    if close < open {
+        return Err(err("mismatched parentheses"));
+    }
+    Ok((text[..open].trim(), &text[open + 1..close]))
+}
+
+/// The non-empty, trimmed comma-separated arguments of a call.
+fn call_args(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').map(str::trim).filter(|a| !a.is_empty())
 }
 
 /// Writes a levelized (or raw) [`Circuit`] as `.bench` text.

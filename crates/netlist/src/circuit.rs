@@ -111,17 +111,21 @@ impl GateKind {
     /// Parses a `.bench` keyword (case-insensitive). `BUF` and `BUFF` are
     /// both accepted.
     pub fn from_keyword(s: &str) -> Option<Self> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "AND" => GateKind::And,
-            "NAND" => GateKind::Nand,
-            "OR" => GateKind::Or,
-            "NOR" => GateKind::Nor,
-            "XOR" => GateKind::Xor,
-            "XNOR" => GateKind::Xnor,
-            "NOT" => GateKind::Not,
-            "BUF" | "BUFF" => GateKind::Buf,
-            _ => return None,
-        })
+        const KEYWORDS: [(&str, GateKind); 9] = [
+            ("AND", GateKind::And),
+            ("NAND", GateKind::Nand),
+            ("OR", GateKind::Or),
+            ("NOR", GateKind::Nor),
+            ("XOR", GateKind::Xor),
+            ("XNOR", GateKind::Xnor),
+            ("NOT", GateKind::Not),
+            ("BUF", GateKind::Buf),
+            ("BUFF", GateKind::Buf),
+        ];
+        KEYWORDS
+            .iter()
+            .find(|(k, _)| k.eq_ignore_ascii_case(s))
+            .map(|&(_, kind)| kind)
     }
 }
 
@@ -535,6 +539,24 @@ impl Circuit {
             n += 1;
         }
         n
+    }
+
+    /// [`Circuit::fanout_count`] of every net, indexed by net, with one
+    /// pass over the outputs and observation points instead of one scan
+    /// per net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has not been levelized.
+    pub fn fanout_counts(&self) -> Vec<usize> {
+        assert!(self.levelized, "circuit must be levelized first");
+        let mut counts: Vec<usize> = self.fanout.iter().map(Vec::len).collect();
+        // `mark_output` and `add_observation_point` keep each list free
+        // of duplicates.
+        for n in self.observed_nets() {
+            counts[n.index()] += 1;
+        }
+        counts
     }
 
     /// Whether [`Circuit::levelize`] has validated this circuit.

@@ -309,12 +309,17 @@ impl FaultUniverse {
         for dff in c.dffs() {
             push(FaultSite::Stem(dff.q));
         }
+        let fanout = c.fanout_counts();
+        let mut observed = vec![false; c.num_nets()];
+        for n in c.observed_nets() {
+            observed[n.index()] = true;
+        }
         for idx in 0..c.num_nets() {
             let net = NetId::from_index(idx);
             if matches!(c.driver(net), Driver::Const(_)) {
                 continue;
             }
-            if c.fanout_count(net) < 2 {
+            if fanout[idx] < 2 {
                 continue;
             }
             for load in c.loads(net) {
@@ -328,8 +333,7 @@ impl FaultUniverse {
             // by the stem fault itself — but only when the stem is not a
             // PI/FF output already enumerated above.
             let is_ppi = matches!(c.driver(net), Driver::Input(_) | Driver::Dff(_));
-            let observed = c.observed_nets().any(|o| o == net);
-            if observed && !is_ppi {
+            if observed[idx] && !is_ppi {
                 push(FaultSite::Stem(net));
             }
         }
@@ -373,11 +377,12 @@ impl FaultUniverse {
 
         let mut uf = UnionFind::new(total);
         let controlling = model == FaultModel::StuckAt;
+        let fanout = c.fanout_counts();
 
         for (gid, gate) in c.iter_gates() {
             for (pin, &inp) in gate.inputs.iter().enumerate() {
                 // Rule 1: fanout-free branch ≡ stem.
-                if c.fanout_count(inp) == 1 {
+                if fanout[inp.index()] == 1 {
                     uf.union(pin_idx(gid, pin, false), stem_idx(inp, false));
                     uf.union(pin_idx(gid, pin, true), stem_idx(inp, true));
                 }

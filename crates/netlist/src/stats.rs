@@ -67,8 +67,7 @@ pub fn circuit_stats(c: &Circuit) -> CircuitStats {
 
     let mut max_fanout = 0;
     let mut fanout_stems = 0;
-    for idx in 0..c.num_nets() {
-        let f = c.fanout_count(NetId::from_index(idx));
+    for f in c.fanout_counts() {
         max_fanout = max_fanout.max(f);
         if f >= 2 {
             fanout_stems += 1;

@@ -18,12 +18,15 @@
 //!    injections pay a single integer compare.
 //! 3. [`GoodTrace`] + dirty-set evaluation — the fault-free machine is
 //!    simulated once per sequence, bit packed 64 nets per word per
-//!    cycle. One branch-free topological sweep builds the traces of up
-//!    to [`SWEEP_LANES`] sequences at once
+//!    cycle. One topological sweep builds the traces of up to
+//!    [`SWEEP_LANES`] sequences at once
 //!    ([`CompiledCircuit::good_traces`]): each net holds one byte with
 //!    sequence `l`'s ones bit in the low half and its zeros bit in the
 //!    high half, so a gate costs the same whatever number of sequences
-//!    the sweep carries. Each batch
+//!    the sweep carries. The sweep runs a flat array of fixed
+//!    four-operand [`SweepRec`]s built during lowering; AND, OR, NOT and
+//!    BUF records run without a branch, and a gate wider than four
+//!    inputs is a chain of records. Each batch
 //!    then runs *event-driven* against a shared trace: a net is
 //!    **dirty** in a cycle when its planes differ from the fault-free
 //!    value on a live machine bit, and a gate is evaluated only when one
@@ -123,43 +126,103 @@ pub(crate) struct CompiledCircuit {
     /// Every net index, ascending — the dirty set of the reference
     /// kernel, which treats every net as changed.
     pub(crate) all_nets: Vec<u32>,
-    /// Branch-free fault-free evaluation recipe per topo position.
-    code_ops: Vec<CodeOp>,
+    /// The fault-free sweep program: every gate in topo order as one
+    /// [`SweepRec`], or a chain of them past four inputs.
+    sweep_recs: Vec<SweepRec>,
 }
 
-/// How one gate combines three folds of its operand values: `all` (AND
-/// — "every operand is 1" / "every operand is 0"), `any` (OR — "some
-/// operand is 1" / "some operand is 0") and `xor` (the three-valued XOR
-/// fold). Each field is a plane mask over a sweep byte (see [`LOW`]):
-/// its low half takes the fold's ones plane into the result, its high
-/// half the zeros plane. AND takes its 1 from `all` and its 0 from
-/// `any`, OR the other way round, XOR everything from `xor`; NOT and BUF
-/// read their single operand through the AND recipe. An inverting gate
-/// then swaps the two planes. Every gate runs the same instructions, so
-/// the topo-order sweep has no data-dependent branch.
+/// One step of the fault-free sweep: a gate of at most four operands,
+/// read from the sweep bytes (see [`LOW`]) at `ins`. AND, OR, NOT and BUF
+/// fold all four slots with AND and with OR and keep the planes `all`
+/// and `any` pick: AND takes its 1 from the AND fold and its 0 from the
+/// OR fold, OR the other way round, NOT and BUF read their operand
+/// through the AND recipe. Slots a gate does not use repeat one of its
+/// operands, which changes neither fold, so these kinds run without a
+/// branch. XOR and XNOR take the rarely-taken three-valued XOR fold, and
+/// their empty slots read the known-0 byte. The result is rotated by
+/// `rot`: 4 for an inverting kind, which swaps the ones and zeros planes.
+///
+/// A gate with more than four inputs lowers to a chain of records through
+/// the shared scratch byte: each partial record folds four operands (the
+/// previous partial result among them) without inverting, and only the
+/// last writes the gate's output and inverts. 24 bytes per record.
 #[derive(Debug, Clone, Copy)]
-struct CodeOp {
+struct SweepRec {
+    /// Operand byte indices.
+    ins: [u32; 4],
+    /// Result byte index: the gate's output net, or the scratch byte.
+    out: u32,
+    /// Plane mask over the AND fold.
     all: u8,
+    /// Plane mask over the OR fold.
     any: u8,
-    xor: u8,
-    swap: u8,
+    /// Result rotation: 4 to invert, 0 otherwise.
+    rot: u8,
+    /// The record folds by three-valued XOR.
+    xor: bool,
 }
 
-impl CodeOp {
-    fn of(kind: GateKind) -> CodeOp {
-        const ONES: u8 = 0x0F;
-        const ZEROS: u8 = 0xF0;
-        let (all, any, xor) = match kind {
-            GateKind::And | GateKind::Nand | GateKind::Not | GateKind::Buf => (ONES, ZEROS, 0),
-            GateKind::Or | GateKind::Nor => (ZEROS, ONES, 0),
-            GateKind::Xor | GateKind::Xnor => (0, 0, ONES | ZEROS),
+const _: () = assert!(std::mem::size_of::<SweepRec>() == 24);
+
+impl SweepRec {
+    /// Appends the records of one gate: `ins` its operand nets, `out` its
+    /// output net, `zero` the known-0 byte and `scratch` the chain byte.
+    fn lower(
+        recs: &mut Vec<SweepRec>,
+        kind: GateKind,
+        ins: &[u32],
+        out: u32,
+        zero: u32,
+        scratch: u32,
+    ) {
+        const ONES: u8 = LOW;
+        const ZEROS: u8 = !LOW;
+        let (all, any) = match kind {
+            GateKind::And | GateKind::Nand | GateKind::Not | GateKind::Buf => (ONES, ZEROS),
+            GateKind::Or | GateKind::Nor => (ZEROS, ONES),
+            GateKind::Xor | GateKind::Xnor => (0, 0),
         };
-        CodeOp {
-            all,
-            any,
-            xor,
-            swap: if kind.inverting() { ONES | ZEROS } else { 0 },
+        let xor = matches!(kind, GateKind::Xor | GateKind::Xnor);
+        let mut rest = ins;
+        let mut carry = None;
+        loop {
+            let mut slots = [0u32; 4];
+            let mut n = 0;
+            if let Some(partial) = carry {
+                slots[0] = partial;
+                n = 1;
+            }
+            let take = rest.len().min(4 - n);
+            slots[n..n + take].copy_from_slice(&rest[..take]);
+            let pad = if xor { zero } else { slots[0] };
+            slots[n + take..].fill(pad);
+            rest = &rest[take..];
+            let last = rest.is_empty();
+            recs.push(SweepRec {
+                ins: slots,
+                out: if last { out } else { scratch },
+                all,
+                any,
+                rot: if last && kind.inverting() { 4 } else { 0 },
+                xor,
+            });
+            if last {
+                return;
+            }
+            carry = Some(scratch);
         }
+    }
+
+    /// The record's result on the sweep bytes `nets`.
+    #[inline]
+    fn eval(&self, nets: &[u8]) -> u8 {
+        let [a, b, c, d] = self.ins.map(|i| nets[i as usize]);
+        let r = if self.xor {
+            xor_lanes(xor_lanes(a, b), xor_lanes(c, d))
+        } else {
+            (a & b & c & d & self.all) | ((a | b | c | d) & self.any)
+        };
+        r.rotate_left(u32::from(self.rot))
     }
 }
 
@@ -227,16 +290,28 @@ impl CompiledCircuit {
         let mut in_nets = Vec::new();
         let mut out_nets = Vec::with_capacity(num_gates);
         let mut topo_pos = vec![0u32; num_gates];
+        let mut sweep_recs = Vec::with_capacity(num_gates);
+        let (zero, scratch) = (num_nets as u32, num_nets as u32 + 1);
         in_start.push(0u32);
         for (pos, &gid) in c.topo_gates().iter().enumerate() {
             let g = c.gate(gid);
             topo_pos[gid.index()] = pos as u32;
             kinds.push(g.kind);
+            let first = in_nets.len();
             for &i in &g.inputs {
                 in_nets.push(i.index() as u32);
             }
             in_start.push(in_nets.len() as u32);
-            out_nets.push(g.output.index() as u32);
+            let out = g.output.index() as u32;
+            out_nets.push(out);
+            SweepRec::lower(
+                &mut sweep_recs,
+                g.kind,
+                &in_nets[first..],
+                out,
+                zero,
+                scratch,
+            );
         }
 
         let pi_nets = c.inputs().iter().map(|n| n.index() as u32).collect();
@@ -285,7 +360,6 @@ impl CompiledCircuit {
             load_codes[cursor[d as usize] as usize] = (num_gates + k) as u32;
             cursor[d as usize] += 1;
         }
-        let code_ops = kinds.iter().map(|&k| CodeOp::of(k)).collect();
 
         CompiledCircuit {
             num_nets,
@@ -305,7 +379,7 @@ impl CompiledCircuit {
             load_start,
             load_codes,
             all_nets: (0..num_nets as u32).collect(),
-            code_ops,
+            sweep_recs,
         }
     }
 
@@ -356,7 +430,10 @@ impl CompiledCircuit {
             .collect();
         let cycles = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
         let mut ff: Vec<u8> = init_ff.iter().map(|&v| of_logic(v)).collect();
-        let mut nets = vec![0u8; self.num_nets];
+        // The net bytes, then the known-0 byte and the chain scratch byte
+        // the sweep records read past them.
+        let mut nets = vec![0u8; self.num_nets + 2];
+        nets[self.num_nets] = !LOW;
         let mut pis = vec![0u8; self.pi_nets.len()];
         for u in 0..cycles {
             pis.fill(0);
@@ -374,15 +451,15 @@ impl CompiledCircuit {
             for &(n, v) in &self.const_vals {
                 nets[n as usize] = of_logic(v.into());
             }
-            for (pos, &out) in self.out_nets.iter().enumerate() {
-                nets[out as usize] = self.eval_lanes(pos, &nets);
+            for rec in &self.sweep_recs {
+                nets[rec.out as usize] = rec.eval(&nets);
             }
             for (p, &d) in ff.iter_mut().zip(&self.dff_d) {
                 *p = nets[d as usize];
             }
             for (l, trace) in traces.iter_mut().enumerate() {
                 if u < trace.len() {
-                    trace.pack_lane(u, &nets, l, l + SWEEP_LANES);
+                    trace.pack_lane(u, &nets[..self.num_nets], l, l + SWEEP_LANES);
                 }
             }
         }
@@ -395,26 +472,6 @@ impl CompiledCircuit {
             })
             .collect();
         (traces, ff)
-    }
-
-    /// Evaluates the gate at topo position `pos` on the operand sweep
-    /// bytes in `nets`, with the same instructions for every gate kind
-    /// (see [`CodeOp`]).
-    #[inline]
-    fn eval_lanes(&self, pos: usize, nets: &[u8]) -> u8 {
-        let s = self.in_start[pos] as usize;
-        let e = self.in_start[pos + 1] as usize;
-        let first = nets[self.in_nets[s] as usize];
-        let (mut all, mut any, mut xor) = (first, first, first);
-        for &i in &self.in_nets[s + 1..e] {
-            let c = nets[i as usize];
-            all &= c;
-            any |= c;
-            xor = xor_lanes(xor, c);
-        }
-        let op = self.code_ops[pos];
-        let r = (all & op.all) | (any & op.any) | (xor & op.xor);
-        r ^ ((r ^ swap_halves(r)) & op.swap)
     }
 }
 
@@ -1399,7 +1456,7 @@ mod tests {
     use crate::reference::SerialFaultSim;
     use crate::word::WordWidth;
     use proptest::prelude::*;
-    use wbist_circuits::synthetic::SyntheticSpec;
+    use wbist_circuits::synthetic::{wide_fanin, SyntheticSpec};
     use wbist_netlist::{bench_format, FaultList, FaultModel, FaultUniverse, NetId};
 
     fn toy() -> Circuit {
@@ -1614,6 +1671,78 @@ mod tests {
                 check_trace(&c, seq, trace, &vec![Logic3::X; dffs], &mut cover)?;
             }
         }
+    }
+
+    proptest! {
+        /// Gates of five to nine inputs, which lower to record chains
+        /// through the scratch byte, equal `LogicSim` in every lane of a
+        /// sweep, from the all-`X` start and from a random flip-flop state.
+        #[test]
+        fn every_lane_of_a_wide_gate_sweep_equals_logic_sim(
+            seed in any::<u64>(),
+            inputs in 1usize..9,
+            dffs in 0usize..12,
+            gates in 1usize..60,
+            lanes in 1usize..=SWEEP_LANES,
+            rows in prop::collection::vec(any::<u64>(), 24..25),
+            lens in prop::collection::vec(0usize..24, SWEEP_LANES..=SWEEP_LANES),
+            ff_bits in prop::collection::vec(any::<u8>(), 12..13),
+        ) {
+            let c = wide_fanin("wide", inputs, dffs, gates, seed);
+            let cc = CompiledCircuit::build(&c);
+            let seqs: Vec<TestSequence> = (0..lanes)
+                .map(|l| {
+                    let picked: Vec<u64> =
+                        (0..lens[l]).map(|u| rows[(u + l) % rows.len()] ^ l as u64).collect();
+                    random_sequence(inputs, &picked)
+                })
+                .collect();
+            let refs: Vec<&TestSequence> = seqs.iter().collect();
+            let mut cover = KindCoverage::default();
+            for init in [vec![Logic3::X; dffs], random_state(&ff_bits[..dffs])] {
+                let (traces, final_ff) = cc.sweep(&refs, &init);
+                prop_assert_eq!(traces.len(), lanes);
+                for (l, (seq, trace)) in seqs.iter().zip(&traces).enumerate() {
+                    let state = check_trace(&c, seq, trace, &init, &mut cover)?;
+                    // Lane 0's final state is reported; a lane past its
+                    // own end keeps running on `X` inputs.
+                    if l == 0 && seqs.iter().all(|s| s.len() <= seq.len()) {
+                        prop_assert_eq!(&final_ff, &state);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The wide-gate family exercises every gate kind, two- and
+    /// three-record chains, and `X` into wide XOR/XNOR gates.
+    #[test]
+    fn wide_gate_property_covers_every_kind_and_chain_length() {
+        let mut cover = KindCoverage::default();
+        let mut chains = [false; 2];
+        for seed in 0..8u64 {
+            let c = wide_fanin("cover", 6, 8, 40, seed);
+            let cc = CompiledCircuit::build(&c);
+            assert!(cc.sweep_recs.len() > cc.num_gates, "no record chain");
+            for g in c.gates() {
+                match g.inputs.len() {
+                    5..=7 => chains[0] = true,
+                    8.. => chains[1] = true,
+                    _ => {}
+                }
+            }
+            let rows: Vec<u64> = (0..16u64)
+                .map(|u| (u + 5).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed)
+                .collect();
+            let seq = random_sequence(6, &rows);
+            let bits: Vec<u8> = (0..8u8).map(|k| k.wrapping_mul(5) ^ seed as u8).collect();
+            for init in [vec![Logic3::X; 8], random_state(&bits)] {
+                check_good_trace(&c, &seq, &init, &mut cover).unwrap();
+            }
+        }
+        assert_eq!(chains, [true, true], "two- and three-record chains");
+        assert_eq!(cover.kinds.len(), 8, "every gate kind: {:?}", cover.kinds);
+        assert!(cover.xor_saw_x, "no wide XOR/XNOR gate saw an X operand");
     }
 
     /// The generator family the property test draws from exercises every

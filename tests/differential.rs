@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use wbist::atpg::Lfsr;
-use wbist::circuits::SyntheticSpec;
+use wbist::circuits::{wide_fanin, SyntheticSpec};
 use wbist::netlist::{FaultModel, FaultUniverse};
 use wbist::sim::{FaultSim, SerialFaultSim, SimOptions, WordWidth};
 
@@ -72,6 +72,34 @@ proptest! {
                     "{:?} vs serial oracle, reference={}",
                     model,
                     reference
+                );
+            }
+        }
+    }
+
+    /// Gates of five to nine inputs, whose good machine the sweep lowers
+    /// to record chains, agree with the serial oracle on every stem and
+    /// pin fault, for both models, at both plane widths.
+    #[test]
+    fn wide_gates_equal_serial_oracle_all_models(seed in any::<u64>()) {
+        let c = wide_fanin("difw", 5, 4, 24, seed % 16);
+        let seq = Lfsr::new(19, (seed % 5000) as u32 + 11).sequence(5, 32);
+        let oracle = SerialFaultSim::new(&c);
+        for model in FaultModel::ALL {
+            let faults = FaultUniverse::enumerate(model, &c);
+            let expect: Vec<Option<usize>> = faults
+                .faults()
+                .iter()
+                .map(|&f| oracle.detection_time(f, &seq))
+                .collect();
+            for width in [WordWidth::W64, WordWidth::W128] {
+                let sim = FaultSim::with_options(&c, SimOptions::with_threads(1).word_width(width));
+                prop_assert_eq!(
+                    sim.query(&faults).sequence(&seq).detection_times(),
+                    expect.clone(),
+                    "{:?} vs serial oracle at {:?}",
+                    model,
+                    width
                 );
             }
         }

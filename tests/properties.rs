@@ -5,14 +5,75 @@ use wbist::atpg::Lfsr;
 use wbist::circuits::SyntheticSpec;
 use wbist::core::{Subsequence, WeightAssignment};
 use wbist::hw::{minimize, FsmBank, Sop};
-use wbist::netlist::{bench_format, FaultList};
+use wbist::netlist::{
+    bench_format, transform, Circuit, Driver, Fault, FaultList, FaultModel, FaultSite,
+    FaultUniverse, Load, NetId,
+};
 use wbist::sim::{FaultSim, SerialFaultSim, SimOptions};
 
 fn arb_subsequence(max_len: usize) -> impl Strategy<Value = Subsequence> {
     prop::collection::vec(any::<bool>(), 1..=max_len).prop_map(Subsequence::new)
 }
 
+/// [`FaultUniverse::checkpoints`] restated one net at a time through
+/// `Circuit::fanout_count` and a scan of the observed nets.
+fn checkpoints_by_fanout_count(model: FaultModel, c: &Circuit) -> Vec<Fault> {
+    let mut faults = Vec::new();
+    let mut push = |site: FaultSite| {
+        faults.push(Fault::of(model, site, false));
+        faults.push(Fault::of(model, site, true));
+    };
+    for &pi in c.inputs() {
+        push(FaultSite::Stem(pi));
+    }
+    for dff in c.dffs() {
+        push(FaultSite::Stem(dff.q));
+    }
+    for idx in 0..c.num_nets() {
+        let net = NetId::from_index(idx);
+        if matches!(c.driver(net), Driver::Const(_)) || c.fanout_count(net) < 2 {
+            continue;
+        }
+        for load in c.loads(net) {
+            push(match *load {
+                Load::GatePin { gate, pin } => FaultSite::GatePin { gate, pin },
+                Load::DffData(k) => FaultSite::DffData(k),
+            });
+        }
+        let is_ppi = matches!(c.driver(net), Driver::Input(_) | Driver::Dff(_));
+        if c.observed_nets().any(|o| o == net) && !is_ppi {
+            push(FaultSite::Stem(net));
+        }
+    }
+    faults
+}
+
 proptest! {
+    /// The one-pass checkpoint enumeration returns the per-net
+    /// restatement's list, order included, on random circuits with
+    /// observation points on random nets (primary outputs among them).
+    #[test]
+    fn checkpoints_equal_the_per_net_restatement(
+        seed in any::<u64>(),
+        gates in 12usize..90,
+        taps in prop::collection::vec(any::<u32>(), 0..12),
+    ) {
+        let base = SyntheticSpec::new("ck", 5, 3, 6, gates, seed).build();
+        let lines: Vec<NetId> = taps
+            .iter()
+            .map(|&t| NetId::from_index(t as usize % base.num_nets()))
+            .collect();
+        let c = transform::add_ideal_observation_points(&base, &lines).expect("valid lines");
+        let fanout = c.fanout_counts();
+        for (idx, &f) in fanout.iter().enumerate() {
+            prop_assert_eq!(f, c.fanout_count(NetId::from_index(idx)));
+        }
+        for model in [FaultModel::StuckAt, FaultModel::TransitionDelay] {
+            let listed = FaultUniverse::checkpoints(model, &c);
+            prop_assert_eq!(listed.faults(), &checkpoints_by_fanout_count(model, &c)[..]);
+        }
+    }
+
     /// α^r is periodic with period |α|.
     #[test]
     fn stream_periodicity(sub in arb_subsequence(12), len in 1usize..100) {
