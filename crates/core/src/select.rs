@@ -335,12 +335,28 @@ impl<'a> Synthesis<'a> {
         .cancel(CancelToken::unlimited())
         .compiled(sim.compiled_handle());
         let setup_sim = FaultSim::with_run_options(circuit, &setup_run);
-        let det_times = setup_sim.query(faults).sequence(t).detection_times();
-        let target: Vec<bool> = det_times
-            .iter()
-            .zip(&pre)
-            .map(|(t, &pre)| t.is_some() && !pre)
-            .collect();
+        // Only targets' detection times are ever read, so pre-detected
+        // faults are left out of the query (and keep `None`). With none
+        // pre-detected the caller's list is queried as is, uncopied.
+        let det_times: Vec<Option<usize>> = if pre.contains(&true) {
+            let open: FaultList = faults
+                .iter()
+                .zip(&pre)
+                .filter(|&(_, &p)| !p)
+                .map(|(&f, _)| f)
+                .collect();
+            let mut times = setup_sim
+                .query(&open)
+                .sequence(t)
+                .detection_times()
+                .into_iter();
+            pre.iter()
+                .map(|&p| if p { None } else { times.next().flatten() })
+                .collect()
+        } else {
+            setup_sim.query(faults).sequence(t).detection_times()
+        };
+        let target: Vec<bool> = det_times.iter().map(Option::is_some).collect();
         let n = faults.len();
         let mut detected = vec![false; n];
         let mut abandoned = vec![false; n];

@@ -213,10 +213,11 @@ impl SweepRec {
         }
     }
 
-    /// The record's result on the sweep bytes `nets`.
+    /// The record's result on the sweep bytes `nets`, whose length is
+    /// `mask + 1`: indexing through `& mask` needs no bounds check.
     #[inline]
-    fn eval(&self, nets: &[u8]) -> u8 {
-        let [a, b, c, d] = self.ins.map(|i| nets[i as usize]);
+    fn eval(&self, nets: &[u8], mask: usize) -> u8 {
+        let [a, b, c, d] = self.ins.map(|i| nets[i as usize & mask]);
         let r = if self.xor {
             xor_lanes(xor_lanes(a, b), xor_lanes(c, d))
         } else {
@@ -257,7 +258,9 @@ fn xor_lanes(a: u8, b: u8) -> u8 {
 /// Bit `k` of each of up to 64 bytes, byte `i` into bit `i`. Eight
 /// bytes at a time: bit `k` of each byte moves to the byte's bit 0, and
 /// one multiplication collects the eight bits into the top byte (every
-/// partial product lands on its own bit, so nothing carries).
+/// partial product lands on its own bit, so nothing carries). The
+/// portable [`bit_planes`] and its test oracle.
+#[cfg(any(test, not(target_arch = "x86_64")))]
 #[inline]
 fn gather(bytes: &[u8], k: usize) -> u64 {
     let full = bytes.len() / 8 * 8;
@@ -271,6 +274,49 @@ fn gather(bytes: &[u8], k: usize) -> u64 {
         out |= u64::from((b >> k) & 1) << i;
     }
     out
+}
+
+/// All eight bit planes of 64 sweep bytes: plane `k` holds bit `k` of
+/// byte `i` at bit `i`, so planes `0..4` are the lanes' ones planes and
+/// `4..8` their zeros planes. Sixteen bytes at a time: `pmovmskb`
+/// collects every byte's top bit, and adding the vector to itself moves
+/// the next bit up.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn bit_planes(bytes: &[u8; 64]) -> [u64; 8] {
+    use std::arch::x86_64::{_mm_add_epi8, _mm_loadu_si128, _mm_movemask_epi8};
+    let mut planes = [0u64; 8];
+    for (j, block) in bytes.chunks_exact(16).enumerate() {
+        // SAFETY: SSE2 is part of the x86_64 baseline, so the intrinsics
+        // are available on every x86_64 host, and the unaligned load
+        // reads exactly the sixteen bytes of `block`.
+        unsafe {
+            let mut v = _mm_loadu_si128(block.as_ptr().cast());
+            for plane in planes.iter_mut().rev() {
+                *plane |= u64::from(_mm_movemask_epi8(v) as u16) << (16 * j);
+                v = _mm_add_epi8(v, v);
+            }
+        }
+    }
+    planes
+}
+
+/// All eight bit planes of 64 sweep bytes, one [`gather`] per plane.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn bit_planes(bytes: &[u8; 64]) -> [u64; 8] {
+    std::array::from_fn(|k| gather(bytes, k))
+}
+
+/// The [`bit_planes`] of a row of sweep bytes, 64 nets per word: a
+/// ragged last chunk is padded with all-`X` bytes.
+#[inline]
+fn row_planes(bytes: &[u8]) -> impl Iterator<Item = [u64; 8]> + '_ {
+    let (chunks, tail) = bytes.as_chunks::<64>();
+    let mut padded = [0u8; 64];
+    padded[..tail.len()].copy_from_slice(tail);
+    let ragged = (!tail.is_empty()).then(move || bit_planes(&padded));
+    chunks.iter().map(bit_planes).chain(ragged)
 }
 
 impl CompiledCircuit {
@@ -426,13 +472,16 @@ impl CompiledCircuit {
         };
         let mut traces: Vec<GoodTrace> = seqs
             .iter()
-            .map(|s| GoodTrace::new(self.num_nets, s.len()))
+            .map(|s| GoodTrace::with_capacity(self.num_nets, s.len()))
             .collect();
         let cycles = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
         let mut ff: Vec<u8> = init_ff.iter().map(|&v| of_logic(v)).collect();
         // The net bytes, then the known-0 byte and the chain scratch byte
-        // the sweep records read past them.
-        let mut nets = vec![0u8; self.num_nets + 2];
+        // the sweep records read past them, padded to a power of two so
+        // every index can be masked into range.
+        let mut buf = vec![0u8; (self.num_nets + 2).next_power_of_two()];
+        let mask = buf.len() - 1;
+        let nets = &mut buf[..=mask];
         nets[self.num_nets] = !LOW;
         let mut pis = vec![0u8; self.pi_nets.len()];
         for u in 0..cycles {
@@ -452,17 +501,21 @@ impl CompiledCircuit {
                 nets[n as usize] = of_logic(v.into());
             }
             for rec in &self.sweep_recs {
-                nets[rec.out as usize] = rec.eval(&nets);
+                nets[rec.out as usize & mask] = rec.eval(nets, mask);
             }
             for (p, &d) in ff.iter_mut().zip(&self.dff_d) {
                 *p = nets[d as usize];
             }
-            for (l, trace) in traces.iter_mut().enumerate() {
-                if u < trace.len() {
-                    trace.pack_lane(u, &nets[..self.num_nets], l, l + SWEEP_LANES);
+            for planes in row_planes(&nets[..self.num_nets]) {
+                for (l, trace) in traces.iter_mut().enumerate() {
+                    if u < trace.len() {
+                        trace.ones.push(planes[l]);
+                        trace.zeros.push(planes[l + SWEEP_LANES]);
+                    }
                 }
             }
         }
+        debug_assert!(traces.iter().all(|t| t.ones.len() == t.words * t.len()));
         let ff = ff
             .iter()
             .map(|&p| match (p & 1, p >> SWEEP_LANES & 1) {
@@ -485,14 +538,15 @@ pub(crate) struct GoodTrace {
 }
 
 impl GoodTrace {
-    /// An all-`X` trace of `num_cycles` rows.
-    fn new(num_nets: usize, num_cycles: usize) -> GoodTrace {
+    /// A trace of `num_cycles` rows with room for them and none written:
+    /// the sweep pushes each row's words once, in order.
+    fn with_capacity(num_nets: usize, num_cycles: usize) -> GoodTrace {
         let words = num_nets.div_ceil(64);
         GoodTrace {
             num_cycles,
             words,
-            ones: vec![0u64; words * num_cycles],
-            zeros: vec![0u64; words * num_cycles],
+            ones: Vec::with_capacity(words * num_cycles),
+            zeros: Vec::with_capacity(words * num_cycles),
         }
     }
 
@@ -501,31 +555,18 @@ impl GoodTrace {
         self.num_cycles
     }
 
-    /// Packs bits `one` (ones plane) and `zero` (zeros plane) of every
-    /// net's sweep byte into row `u`, 64 nets per word.
-    fn pack_lane(&mut self, u: usize, nets: &[u8], one: usize, zero: usize) {
-        let base = u * self.words;
-        for (w, chunk) in nets.chunks(64).enumerate() {
-            self.ones[base + w] = gather(chunk, one);
-            self.zeros[base + w] = gather(chunk, zero);
-        }
-    }
-
     /// The fault-free value of net `n` at cycle `u`, broadcast to all
     /// machine bit positions of the requested lane width. The trace
     /// itself is packed one bit per net regardless of the batch width —
     /// only this broadcast is width-dependent.
     #[inline]
     pub(crate) fn planes<W: Word>(&self, u: usize, n: usize) -> Planes<W> {
+        // A four-entry table on the ones bit (bit 0) and the zeros bit
+        // (bit 1), without a branch; both bits set reads as 1.
         let w = u * self.words + n / 64;
-        let bit = 1u64 << (n % 64);
-        if self.ones[w] & bit != 0 {
-            Planes::ALL_ONE
-        } else if self.zeros[w] & bit != 0 {
-            Planes::ALL_ZERO
-        } else {
-            Planes::ALL_X
-        }
+        let one = self.ones[w] >> (n % 64) & 1;
+        let zero = self.zeros[w] >> (n % 64) & 1;
+        Planes::<W>::BY_CODE[(one | zero << 1) as usize]
     }
 
     /// The fault-free value of net `n` at cycle `u` as a scalar.
@@ -1510,6 +1551,65 @@ mod tests {
         }
     }
 
+    /// The all-lane pack equals one [`gather`] per plane, at every plane
+    /// of random bytes, over rows of whole 64-net chunks and rows with a
+    /// ragged last chunk.
+    #[test]
+    fn row_planes_equal_per_plane_gather() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [0usize, 1, 7, 63, 64, 65, 127, 128, 129, 200, 256, 300] {
+            for _ in 0..8 {
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state as u8
+                    })
+                    .collect();
+                let want: Vec<[u64; 8]> = bytes
+                    .chunks(64)
+                    .map(|c| std::array::from_fn(|k| gather(c, k)))
+                    .collect();
+                let got: Vec<[u64; 8]> = row_planes(&bytes).collect();
+                assert_eq!(got, want, "{len} bytes");
+            }
+        }
+    }
+
+    /// The reads of a trace broadcast each two-bit code to every machine
+    /// bit at `W`: neither bit is `X`, one bit is its value, and both
+    /// bits read as 1.
+    fn trace_reads_at<W: Word>() {
+        // Nets 0..4 carry the codes 0..4 in row 0; row 1 is all `X`.
+        let trace = GoodTrace {
+            num_cycles: 2,
+            words: 1,
+            ones: vec![0b1010, 0],
+            zeros: vec![0b1100, 0],
+        };
+        let want = [
+            Planes::ALL_X,
+            Planes::ALL_ONE,
+            Planes::ALL_ZERO,
+            Planes::ALL_ONE,
+        ];
+        let scalar = [Logic3::X, Logic3::One, Logic3::Zero, Logic3::One];
+        for n in 0..4 {
+            assert_eq!(trace.planes::<W>(0, n), want[n], "net {n}");
+            assert_eq!(trace.value(0, n), scalar[n], "net {n}");
+            assert_eq!(trace.planes::<W>(1, n), Planes::ALL_X, "net {n}, row 1");
+        }
+    }
+
+    #[test]
+    fn trace_reads_hold_at_every_width() {
+        trace_reads_at::<u64>();
+        trace_reads_at::<u128>();
+        #[cfg(feature = "w256")]
+        trace_reads_at::<crate::word::W256>();
+    }
+
     #[test]
     fn good_trace_matches_logic_sim() {
         let c = toy();
@@ -1673,6 +1773,44 @@ mod tests {
         }
     }
 
+    /// Sweeps `lanes` sequences over `c` (lane `l` reads `lens[l]` of
+    /// `rows` from offset `l`, so lanes differ), from the all-`X` state
+    /// and from a random flip-flop state, and checks every lane against
+    /// `LogicSim`, plus lane 0's final state when no lane outlasts it.
+    fn check_every_lane(
+        c: &Circuit,
+        lanes: usize,
+        rows: &[u64],
+        lens: &[usize],
+        ff_bits: &[u8],
+        cover: &mut KindCoverage,
+    ) -> Result<(), TestCaseError> {
+        let cc = CompiledCircuit::build(c);
+        let seqs: Vec<TestSequence> = (0..lanes)
+            .map(|l| {
+                let picked: Vec<u64> = (0..lens[l])
+                    .map(|u| rows[(u + l) % rows.len()] ^ l as u64)
+                    .collect();
+                random_sequence(c.num_inputs(), &picked)
+            })
+            .collect();
+        let refs: Vec<&TestSequence> = seqs.iter().collect();
+        let dffs = c.num_dffs();
+        for init in [vec![Logic3::X; dffs], random_state(&ff_bits[..dffs])] {
+            let (traces, final_ff) = cc.sweep(&refs, &init);
+            prop_assert_eq!(traces.len(), lanes);
+            for (l, (seq, trace)) in seqs.iter().zip(&traces).enumerate() {
+                let state = check_trace(c, seq, trace, &init, cover)?;
+                // Lane 0's final state is reported; a lane past its
+                // own end keeps running on `X` inputs.
+                if l == 0 && seqs.iter().all(|s| s.len() <= seq.len()) {
+                    prop_assert_eq!(&final_ff, &state);
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         /// Gates of five to nine inputs, which lower to record chains
         /// through the scratch byte, equal `LogicSim` in every lane of a
@@ -1689,28 +1827,28 @@ mod tests {
             ff_bits in prop::collection::vec(any::<u8>(), 12..13),
         ) {
             let c = wide_fanin("wide", inputs, dffs, gates, seed);
-            let cc = CompiledCircuit::build(&c);
-            let seqs: Vec<TestSequence> = (0..lanes)
-                .map(|l| {
-                    let picked: Vec<u64> =
-                        (0..lens[l]).map(|u| rows[(u + l) % rows.len()] ^ l as u64).collect();
-                    random_sequence(inputs, &picked)
-                })
-                .collect();
-            let refs: Vec<&TestSequence> = seqs.iter().collect();
-            let mut cover = KindCoverage::default();
-            for init in [vec![Logic3::X; dffs], random_state(&ff_bits[..dffs])] {
-                let (traces, final_ff) = cc.sweep(&refs, &init);
-                prop_assert_eq!(traces.len(), lanes);
-                for (l, (seq, trace)) in seqs.iter().zip(&traces).enumerate() {
-                    let state = check_trace(&c, seq, trace, &init, &mut cover)?;
-                    // Lane 0's final state is reported; a lane past its
-                    // own end keeps running on `X` inputs.
-                    if l == 0 && seqs.iter().all(|s| s.len() <= seq.len()) {
-                        prop_assert_eq!(&final_ff, &state);
-                    }
-                }
-            }
+            check_every_lane(&c, lanes, &rows, &lens, &ff_bits, &mut KindCoverage::default())?;
+        }
+
+        /// At the edge of the masked sweep buffer: `num_nets + 2` exactly
+        /// a power of two, so the chain scratch byte is the last byte and
+        /// the mask keeps every index, and one net more, which doubles
+        /// the buffer. Every lane equals `LogicSim`.
+        #[test]
+        fn sweeps_at_the_mask_boundary_equal_logic_sim(
+            seed in any::<u64>(),
+            inputs in 1usize..9,
+            dffs in 0usize..12,
+            size_sel in 0usize..6,
+            lanes in 1usize..=SWEEP_LANES,
+            rows in prop::collection::vec(any::<u64>(), 24..25),
+            lens in prop::collection::vec(0usize..12, SWEEP_LANES..=SWEEP_LANES),
+            ff_bits in prop::collection::vec(any::<u8>(), 12..13),
+        ) {
+            let num_nets = [62usize, 63, 126, 127, 254, 255][size_sel];
+            let c = wide_fanin("mask", inputs, dffs, num_nets - inputs - 2 * dffs, seed);
+            prop_assert_eq!(c.num_nets(), num_nets);
+            check_every_lane(&c, lanes, &rows, &lens, &ff_bits, &mut KindCoverage::default())?;
         }
     }
 

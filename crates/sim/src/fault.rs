@@ -1623,10 +1623,10 @@ impl<'q, 'c> Query<'q, 'c> {
     /// Indices (into the queried fault list, ascending) of the detected
     /// faults.
     ///
-    /// This is the snapshot-safe query the synthesis wavefront uses:
-    /// detection of a fault by a sequence does not depend on any other
-    /// fault's status, so the returned set computed against a frozen
-    /// fault list stays valid when it is intersected with a later state.
+    /// Detection of a fault by a sequence does not depend on any other
+    /// fault in the list, so the set computed against a frozen fault
+    /// list stays valid when it is intersected with a later state: the
+    /// selection loop's frozen segment list relies on this.
     pub fn detected_indices(self) -> Vec<usize> {
         self.detection_times()
             .into_iter()

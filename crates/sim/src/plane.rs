@@ -31,6 +31,14 @@ impl<W: Word> Planes<W> {
         ones: W::ZERO,
         zeros: W::ZERO,
     };
+    /// The broadcast of a two-bit code, ones bit in bit 0 and zeros bit
+    /// in bit 1: `X`, 1, 0, and 1 again when both are set.
+    pub(crate) const BY_CODE: [Planes<W>; 4] = [
+        Planes::ALL_X,
+        Planes::ALL_ONE,
+        Planes::ALL_ZERO,
+        Planes::ALL_ONE,
+    ];
 
     #[inline]
     pub(crate) fn broadcast(v: bool) -> Planes<W> {
