@@ -24,8 +24,6 @@
 //!   --golden           verify Ω size and target coverage against the
 //!                      committed golden values (default configuration
 //!                      only) and exit non-zero on any deviation
-//!   --no-prefix-cache  disable the prefix-trace cache (the results must
-//!                      be bit-identical either way; CI asserts it)
 //!   -o FILE            write the JSON there instead of stdout
 //!
 //! exit codes: 0 complete, 1 usage error, I/O failure or golden mismatch
@@ -33,16 +31,11 @@
 //!
 //! One row per circuit. `candidates_per_sec` divides the deterministic
 //! `select.candidates_tried` counter by the wall clock;
-//! `prefix_hits`/`cycles_skipped` report the dense queries that resumed
-//! from the prefix cache's faulty-plane snapshots and the fault-batch
-//! cycles they skipped; `trace_gates_evaluated` counts the walk's
-//! good-machine gate evaluations (every gate of every cycle, once per
-//! sweep), and `good_sweeps`/`good_lanes` the fault-free sweeps and the
-//! sequences they carried, over the whole run;
-//! `snapshot_spills` and `snapshot_bytes` count compressed faulty-plane
-//! snapshots on dense queries past the raw capture cap, and
-//! `snapshot_capture_denied` counts dense evaluations past even the
-//! spill cap (deterministic, unlike the effort figures).
+//! `trace_gates_evaluated` counts the walk's good-machine gate
+//! evaluations (every gate of every cycle, once per sweep), and
+//! `good_sweeps`/`good_lanes` the fault-free sweeps and the sequences
+//! they carried, over the whole run. Every dense query simulates its
+//! candidate from cycle 0.
 
 use std::time::Instant;
 use wbist_atpg::Lfsr;
@@ -55,10 +48,8 @@ use wbist_sim::WordWidth;
 /// Default target subsampling per circuit: every `keep_every`-th fault
 /// stays a target. Chosen so a full synthesis walk finishes in seconds
 /// while still exercising hundreds of candidate evaluations. The
-/// s35932 value is dense enough (~6000 targets) that the first
-/// segments' dense queries exceed the raw snapshot-capture cap
-/// (`batches × flip-flops > 2^16`), so the committed rows exercise the
-/// compressed spill tier.
+/// s35932 value keeps ~6000 targets, so its first segments' dense
+/// queries run about a hundred fault batches over 1728 flip-flops.
 const DEFAULT_KEEP_EVERY: &[(&str, usize)] = &[("s1196", 5), ("s5378", 60), ("s35932", 10)];
 
 /// Golden Ω sizes and detected-target counts at the default
@@ -87,7 +78,7 @@ const OPTIONS: &[&str] = &[
     "--reps",
     "-o",
 ];
-const FLAGS: &[&str] = &["--golden", "--no-prefix-cache"];
+const FLAGS: &[&str] = &["--golden"];
 
 fn parse_list(s: &str) -> Vec<String> {
     s.split(',')
@@ -138,7 +129,6 @@ fn main() {
         },
     };
     let golden = flag("--golden");
-    let no_prefix_cache = flag("--no-prefix-cache");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -191,7 +181,6 @@ fn main() {
             run.sim.word_width = word_width;
             let cfg = SynthesisConfig {
                 sequence_length: lg,
-                prefix_cache: !no_prefix_cache,
                 run,
                 ..SynthesisConfig::default()
             };
@@ -207,14 +196,9 @@ fn main() {
         }
         let (result, tel, secs) = best.expect("reps >= 1");
         let tried = tel.counter("select.candidates_tried");
-        let prefix_hits = tel.effort("select.prefix_hits");
-        let cycles_skipped = tel.effort("select.cycles_skipped");
         let trace_gates_evaluated = tel.effort("select.trace_gates_evaluated");
         let good_sweeps = tel.effort("sim.good_sweeps");
         let good_lanes = tel.effort("sim.good_lanes");
-        let snapshot_spills = tel.effort("select.snapshot_spills");
-        let snapshot_bytes = tel.effort("select.snapshot_bytes");
-        let capture_denied = tel.counter("select.snapshot_capture_denied");
         let detected_targets = result
             .detected
             .iter()
@@ -222,7 +206,7 @@ fn main() {
             .filter(|&(&d, &p)| d && !p)
             .count() as u64;
         eprintln!(
-                "{name}: {targets} {} targets, {threads} thread(s): {:.2} s ({:.1} candidates/s, {tried} tried, {prefix_hits} prefix hits skipping {cycles_skipped} cycles)",
+                "{name}: {targets} {} targets, {threads} thread(s): {:.2} s ({:.1} candidates/s, {tried} tried)",
                 model.name(),
                 secs,
                 tried as f64 / secs,
@@ -253,15 +237,9 @@ fn main() {
             ("seconds", secs.into()),
             ("candidates_tried", tried.into()),
             ("candidates_per_sec", (tried as f64 / secs).into()),
-            ("prefix_cache", (!no_prefix_cache).into()),
-            ("prefix_hits", prefix_hits.into()),
-            ("cycles_skipped", cycles_skipped.into()),
             ("trace_gates_evaluated", trace_gates_evaluated.into()),
             ("good_sweeps", good_sweeps.into()),
             ("good_lanes", good_lanes.into()),
-            ("snapshot_spills", snapshot_spills.into()),
-            ("snapshot_bytes", snapshot_bytes.into()),
-            ("snapshot_capture_denied", capture_denied.into()),
             ("omega_len", result.omega.len().into()),
             ("targets_detected", detected_targets.into()),
             (

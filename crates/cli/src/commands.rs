@@ -1072,6 +1072,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A wall budget beyond any representable deadline never trips: the
+    /// run completes instead of panicking while arming the token.
+    #[test]
+    fn unrepresentable_wall_budget_runs_to_completion() {
+        let dir = std::env::temp_dir().join(format!("wbist-wall-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tempdir");
+        let bench = dir.join("s27.bench");
+        let bench = bench.to_str().expect("utf8");
+        dispatch(&argv(&["gen", "s27", "-o", bench])).expect("gen");
+        for secs in ["inf", "1e19"] {
+            let status = dispatch(&argv(&[
+                "synth",
+                bench,
+                "--lg",
+                "64",
+                "--max-wall-secs",
+                secs,
+            ]))
+            .expect("an unreachable deadline is no error");
+            assert_eq!(status, CmdStatus::Complete, "--max-wall-secs {secs}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn usage_and_run_failures_are_errors() {
         // Usage: bad flag value.

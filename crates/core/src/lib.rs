@@ -39,7 +39,6 @@
 
 pub mod assign;
 pub mod baseline;
-pub mod diagnose;
 pub mod hybrid;
 pub mod job;
 mod live;
@@ -54,13 +53,11 @@ pub mod weights;
 /// Sequences the flow prepares together when it knows its next
 /// candidates ahead of simulating them — one good-machine sweep's worth:
 /// the selection walk's next admissible ranks, reverse-order prune's
-/// next assignments, the observation-point detection matrix and the
-/// fault dictionary. Every trace in a batch is held until its sequence
-/// is queried.
+/// next assignments and the observation-point detection matrix. Every
+/// trace in a batch is held until its sequence is queried.
 pub(crate) const PREPARE_BATCH: usize = wbist_sim::SWEEP_LANES;
 
 pub use assign::{Candidate, CandidateOrdering, CandidateSets, WeightAssignment};
-pub use diagnose::{DictionaryResolution, FaultDictionary, Syndrome};
 pub use hybrid::{synthesize_hybrid, HybridConfig, HybridResult};
 pub use job::{run_synthesis_job, JobOutcome, ResumePolicy};
 pub use obs::{observation_point_tradeoff, ObsOptions, ObsRow, ObsTradeoff};

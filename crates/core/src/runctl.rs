@@ -631,7 +631,6 @@ const KNOWN_COUNTERS: &[&str] = &[
     "select.assignments_kept",
     "select.candidates_tried",
     "select.sample_skips",
-    "select.snapshot_capture_denied",
     "select.targets_abandoned",
     "session.assignments",
     "session.faults",

@@ -33,10 +33,7 @@ use crate::runctl::{
 use crate::weights::WeightSet;
 use crate::PREPARE_BATCH;
 use wbist_netlist::{Circuit, Fault, FaultList};
-use wbist_sim::{
-    CacheInstall, CancelToken, FaultSim, PrefixTraceCache, PreparedSequence, RunOptions,
-    TestSequence,
-};
+use wbist_sim::{CancelToken, FaultSim, PreparedSequence, RunOptions, TestSequence};
 use wbist_telemetry::Telemetry;
 
 /// Configuration of the synthesis procedure.
@@ -58,14 +55,6 @@ pub struct SynthesisConfig {
     /// Disabling it is an ablation knob; the coverage guarantee is only
     /// proven with the fix-up enabled.
     pub full_length_fixup: bool,
-    /// Enables the per-segment prefix-trace cache: candidate sequences
-    /// sharing an input prefix with a recently evaluated one resume
-    /// simulation from the divergence cycle instead of cycle 0 (see
-    /// `DESIGN.md` §13). Resumed evaluations are bit-identical to
-    /// from-scratch ones — the knob trades memory for wall-clock only —
-    /// so it is deliberately *not* part of the checkpoint configuration
-    /// hash: checkpoints are portable across both settings.
-    pub prefix_cache: bool,
     /// Shared run options: simulator tuning, telemetry handle, seed.
     pub run: RunOptions,
 }
@@ -78,7 +67,6 @@ impl Default for SynthesisConfig {
             sample_size: 32,
             ordering: CandidateOrdering::MatchCount,
             full_length_fixup: true,
-            prefix_cache: true,
             run: RunOptions::default(),
         }
     }
@@ -413,7 +401,6 @@ impl<'a> Synthesis<'a> {
         };
 
         let mut live = LiveTargets::new(&target, &det_times, &detected, &abandoned);
-        let mut cache = cfg.prefix_cache.then(PrefixTraceCache::new);
         if tel.is_enabled() {
             tel.point("fault_drop", live.undetected());
         }
@@ -422,11 +409,6 @@ impl<'a> Synthesis<'a> {
         }
 
         let mut truncated: Option<TruncationReason> = None;
-        // One-time trace event for declined snapshot capture: the
-        // denial repeats for every dense evaluation of the same query
-        // shape, so only the first one is worth an event (the
-        // deterministic counter keeps the full count).
-        let mut capture_denied_reported = false;
         loop {
             if let Some(r) = token.cancelled() {
                 truncated = Some(r);
@@ -452,8 +434,7 @@ impl<'a> Synthesis<'a> {
             // keeps (below) covers every rank the old per-rank scan did.
             if !live.time_done(u) {
                 // The segment snapshot: the screening sample and the
-                // dense simulation list are frozen between keeps, and
-                // the prefix cache lives exactly as long as they do.
+                // dense simulation list are frozen between keeps.
                 // Rebuilt lazily at the fault start and after every keep.
                 let mut segment: Option<(Vec<usize>, FaultList, Option<FaultList>)> = None;
                 'ls: for ls in ls0..=(u + 1) {
@@ -484,9 +465,6 @@ impl<'a> Synthesis<'a> {
                             }
                             if segment.is_none() {
                                 live.compact();
-                                if let Some(cache) = cache.as_mut() {
-                                    cache.clear();
-                                }
                                 let seg_live = live.live().to_vec();
                                 let seg_faults: FaultList =
                                     seg_live.iter().map(|&i| faults.faults()[i]).collect();
@@ -496,26 +474,12 @@ impl<'a> Synthesis<'a> {
                                 segment = Some((seg_live, seg_faults, sample));
                             }
                             let seg = segment.as_ref().expect("segment snapshot just built");
-                            let eval =
-                                evaluate(&sim, &prep, seg.2.as_ref(), &seg.1, cache.as_ref(), &tel);
+                            let eval = evaluate(&sim, &prep, seg.2.as_ref(), &seg.1);
                             // Read after the queries: the kernels poll the same
                             // token per cycle, so a cut-short query implies the
                             // trip is visible here.
                             let cancelled = token.cancelled().is_some();
                             tel.add("select.candidates_tried", 1);
-                            if eval.snapshot_capture_denied {
-                                // Deterministic: the denial is a pure function
-                                // of the query shape (batches × flip-flops over
-                                // the spill cap), replayed identically on resume.
-                                tel.add("select.snapshot_capture_denied", 1);
-                                if tel.is_enabled() && !capture_denied_reported {
-                                    capture_denied_reported = true;
-                                    tel.event(
-                                        "select.snapshot_capture_denied",
-                                        &[("rank", rank as u64)],
-                                    );
-                                }
-                            }
                             if eval.screen_skip {
                                 tel.add("select.sample_skips", 1);
                                 if cancelled {
@@ -544,12 +508,6 @@ impl<'a> Synthesis<'a> {
                                 break 'ls;
                             }
                             if newly == 0 {
-                                // Nothing new: publish the evaluation for
-                                // prefix reuse by later ranks (a cancelled
-                                // one never gets here).
-                                if let (Some(cache), Some(inst)) = (cache.as_mut(), eval.install) {
-                                    cache.install(inst);
-                                }
                                 continue;
                             }
                             tel.add("select.assignments_kept", 1);
@@ -693,59 +651,24 @@ struct Evaluation {
     screen_skip: bool,
     /// Indices *into the segment's live list* that the sequence detects.
     newly: Vec<usize>,
-    /// The dense query declined snapshot capture (above the spill cap).
-    snapshot_capture_denied: bool,
-    /// Cache entry to publish if the candidate is not kept.
-    install: Option<CacheInstall>,
 }
 
 /// Evaluates one prepared candidate: screen it against `sample`, then
-/// run the dense query against the segment's live list. Both queries
-/// share the prepared good trace. With `cache`, the dense query resumes
-/// every fault batch from the latest faulty-plane snapshot inside the
-/// input prefix it shares with a cached sequence, and captures its own
-/// snapshots for installing. Resumed evaluations are bit-identical to
-/// from-scratch ones, so the cache is invisible to the deterministic
-/// trace; its reuse figures go to the effort space.
+/// run the dense query against the segment's live list from cycle 0.
+/// Both queries share the prepared good trace.
 fn evaluate(
     sim: &FaultSim<'_>,
     prep: &PreparedSequence,
     sample: Option<&FaultList>,
     live_faults: &FaultList,
-    cache: Option<&PrefixTraceCache>,
-    tel: &Telemetry,
 ) -> Evaluation {
     let screen_skip = sample.is_some_and(|sample| !sim.query(sample).prepared(prep).any());
-    if screen_skip || live_faults.is_empty() {
-        return Evaluation {
-            screen_skip,
-            newly: Vec::new(),
-            snapshot_capture_denied: false,
-            install: None,
-        };
-    }
-    let mut query = sim.query(live_faults).prepared(prep);
-    if let Some(cache) = cache {
-        query = query.cache(cache);
-    }
-    let out = query.outcome();
-    let effort = |name, n: u64| {
-        if n > 0 {
-            tel.add_effort(name, n);
-        }
+    let newly = if screen_skip || live_faults.is_empty() {
+        Vec::new()
+    } else {
+        sim.query(live_faults).prepared(prep).detected_indices()
     };
-    if out.resumed_cycles > 0 {
-        effort("select.prefix_hits", 1);
-        effort("select.cycles_skipped", out.resumed_cycles);
-    }
-    effort("select.snapshot_spills", out.snapshot_spills);
-    effort("select.snapshot_bytes", out.snapshot_bytes);
-    Evaluation {
-        screen_skip,
-        newly: out.detected,
-        snapshot_capture_denied: out.snapshot_capture_denied,
-        install: out.install,
-    }
+    Evaluation { screen_skip, newly }
 }
 
 #[cfg(test)]

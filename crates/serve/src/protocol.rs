@@ -225,6 +225,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                         .ok_or_else(|| bad("`wall_secs` is not a number"))?,
                 ),
             } {
+                if secs.is_nan() || secs <= 0.0 {
+                    return Err(bad("`wall_secs` must be positive"));
+                }
                 budget = budget.wall_secs(secs);
             }
             if let Some(fc) = opt_u64(&v, "fault_cycles")? {
@@ -300,6 +303,10 @@ mod tests {
             r#"{"op":"submit","id":"j","kind":"warp","circuit":"c"}"#,
             r#"{"op":"submit","id":"j","kind":"sim","circuit":"c"}"#,
             r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","lg":0}"#,
+            r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","wall_secs":0}"#,
+            r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","wall_secs":-0}"#,
+            r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","wall_secs":-2.5}"#,
+            r#"{"op":"submit","id":"j","kind":"synth","circuit":"c","wall_secs":-1e999}"#,
             r#"{"op":"register","name":"c"}"#,
             r#"{"op":"register","name":"c","builtin":"s27","bench":"x"}"#,
             r#"{"op":"nope"}"#,

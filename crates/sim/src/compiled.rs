@@ -584,43 +584,6 @@ impl GoodTrace {
     }
 }
 
-/// Complete state of one fault batch at a cycle boundary of `run_batch`,
-/// captured at checkpointed cycles so a later evaluation sharing the
-/// input prefix can resume mid-sequence instead of replaying from
-/// cycle 0.
-///
-/// Everything the remaining cycles can observe is stored: the live
-/// mask, the faulty flip-flop planes, the *explicit* dirty flip-flop
-/// set (restored verbatim on resume — recomputing it by comparing
-/// planes against the good machine would drop flip-flops whose faulty
-/// planes converged while still flagged, changing `gates_evaluated`),
-/// the cumulative [`BatchStats`], and the detections recorded strictly
-/// before `cycle` (filled in by the caller, which owns detection
-/// bookkeeping). Resuming from a snapshot is therefore bit-identical to
-/// a from-scratch run, deterministic counters included.
-#[derive(Debug, Clone)]
-pub(crate) struct BatchCkpt<W> {
-    /// The cycle the snapshot resumes at (state *entering* this cycle).
-    pub(crate) cycle: usize,
-    /// Live fault mask entering `cycle`.
-    pub(crate) live: W,
-    /// Faulty flip-flop planes entering `cycle`.
-    pub(crate) ff: Vec<Planes<W>>,
-    /// Flip-flop indices flagged dirty entering `cycle`.
-    pub(crate) dirty_dffs: Vec<u32>,
-    /// Cumulative kernel stats over cycles `0..cycle`.
-    pub(crate) stats: BatchStats,
-    /// Detections `(fault index, cycle)` recorded before `cycle`.
-    pub(crate) found: Vec<(usize, usize)>,
-}
-
-/// Cycle interval between state snapshots: coarse enough to keep the
-/// capture overhead negligible, fine enough that a resume rarely
-/// replays more than a few cycles it could have skipped.
-pub(crate) fn snapshot_interval(len: usize) -> usize {
-    (len / 8).clamp(4, 64)
-}
-
 /// One fault batch's injections, flattened into sorted arrays.
 ///
 /// All gate-indexed entries are keyed by *topological position* (not
@@ -997,14 +960,6 @@ pub(crate) struct BatchStats {
 /// state, so at every query boundary `ff` matches the reference kernel
 /// on `live | 1` bits exactly.
 ///
-/// With `resume`, the run starts at the snapshot's cycle instead of 0:
-/// the caller must have loaded `ff` from the snapshot, and `trace` must
-/// agree with the snapshot's originating trace on all cycles before the
-/// snapshot (a shared input prefix guarantees this). The passed `live`
-/// mask is ignored in favor of the snapshot's. With `snap`, the
-/// complete batch state is captured into the vector at checkpointed
-/// cycle boundaries (see [`snapshot_interval`]) and at the final cycle.
-///
 /// `prev0` supplies the fault-free net values *entering* cycle 0 (for
 /// incremental segments); `None` is the all-`X` start. It only gates
 /// conditional-injection launches at cycle 0 — cycles past the first
@@ -1021,21 +976,11 @@ pub(crate) fn run_batch<W: Word>(
     nets: &mut [Planes<W>],
     scratch: &mut DirtyScratch,
     buf: &mut MaskBuf<W>,
-    resume: Option<&BatchCkpt<W>>,
-    mut snap: Option<&mut Vec<BatchCkpt<W>>>,
     mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
 ) -> (W, BatchStats) {
     debug_assert_eq!(trace.len(), seq.len());
     let has_cond = !sched.cond.is_empty();
-    let (start, mut stats) = match resume {
-        Some(ck) => {
-            debug_assert!(ck.cycle <= seq.len());
-            debug_assert_eq!(ck.ff.len(), cc.num_dffs);
-            live = ck.live;
-            (ck.cycle, ck.stats)
-        }
-        None => (0, BatchStats::default()),
-    };
+    let mut stats = BatchStats::default();
     let DirtyScratch {
         dirty,
         dirty_nets,
@@ -1050,16 +995,7 @@ pub(crate) fn run_batch<W: Word>(
         dff_dirty[k as usize] = false;
     }
     dirty_dffs.clear();
-    if let Some(ck) = resume {
-        // Restore the snapshot's explicit dirty set instead of rescanning:
-        // a flip-flop whose planes converged to the good machine while
-        // flagged stays flagged until its next examination, and a rescan
-        // would drop it early and change the evaluation schedule.
-        for &k in &ck.dirty_dffs {
-            dff_dirty[k as usize] = true;
-            dirty_dffs.push(k);
-        }
-    } else if !seq.is_empty() {
+    if !seq.is_empty() {
         for (k, f) in ff.iter().enumerate() {
             let good = trace.planes::<W>(0, cc.dff_q[k] as usize);
             if !(((f.ones ^ good.ones) | (f.zeros ^ good.zeros)) & (live | W::LSB)).is_zero() {
@@ -1068,14 +1004,7 @@ pub(crate) fn run_batch<W: Word>(
             }
         }
     }
-    let interval = snapshot_interval(seq.len());
-    // A snapshot taken after the live mask died resumes past the loop,
-    // the same way the from-scratch run broke out of it.
-    let run_cycles = resume.is_none() || !live.is_zero();
-    for u in start..seq.len() {
-        if !run_cycles {
-            break;
-        }
+    for u in 0..seq.len() {
         stats.cycles = u + 1;
         stats.fault_cycles += live.count_ones() as u64;
         let mut evaluated = 0u64;
@@ -1251,18 +1180,6 @@ pub(crate) fn run_batch<W: Word>(
         }
         dirty_nets.clear();
         live &= !drop;
-        if let Some(snaps) = snap.as_deref_mut() {
-            if (u + 1) % interval == 0 || u + 1 == seq.len() || live.is_zero() || stop {
-                snaps.push(BatchCkpt {
-                    cycle: u + 1,
-                    live,
-                    ff: ff.to_vec(),
-                    dirty_dffs: dirty_dffs.clone(),
-                    stats,
-                    found: Vec::new(),
-                });
-            }
-        }
         if live.is_zero() || stop {
             break;
         }

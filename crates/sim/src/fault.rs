@@ -34,7 +34,7 @@
 //! All one-shot queries go through the single [`FaultSim::query`]
 //! builder: pick the sequence (raw via [`Query::sequence`] or a
 //! [`PreparedSequence`] via [`Query::prepared`]), then call a terminal
-//! ([`Query::detection_times`], [`Query::any`], [`Query::outcome`], …).
+//! ([`Query::detection_times`], [`Query::any`], [`Query::observable_lines`], …).
 //! Incremental simulation keeps its dedicated [`FaultSim::begin`] /
 //! [`FaultSim::advance`] / [`FaultSim::sample_detects`] surface.
 //!
@@ -78,10 +78,6 @@ use crate::error::SimError;
 use crate::logic::Logic3;
 use crate::plane::Planes;
 use crate::pool;
-use crate::prefix::{
-    self, AnyArtifacts, ArtifactLane, CacheInstall, FaultyArtifacts, PrefixTraceCache,
-    SnapshotStore, SpilledCkpt,
-};
 use crate::run::RunOptions;
 use crate::runctl::CancelToken;
 use crate::sequence::TestSequence;
@@ -134,26 +130,13 @@ impl SimOptions {
     }
 }
 
-/// Cap on `batches × flip-flops` up to which the prepared dense query
-/// captures faulty-plane snapshots as raw plane vectors. Above it the
-/// snapshots are spilled to the compressed XOR-delta form
-/// ([`SpilledCkpt`]); a pure function of the query shape, so
-/// determinism is unaffected.
-const ARTIFACT_STATE_CAP: usize = 1 << 16;
-
-/// Cap on `batches × flip-flops` above which even compressed snapshot
-/// capture is declined (the good trace is still cached). The denial is
-/// reported — [`PreparedOutcome::snapshot_capture_denied`] — instead of
-/// silently degrading.
-const ARTIFACT_SPILL_CAP: usize = 1 << 24;
-
 /// A sequence prepared for evaluation: its good-machine trace, built
 /// by [`FaultSim::prepare_sequences`] in one lane of a shared sweep.
 /// Feed it to queries through [`Query::prepared`]; every terminal reuses
 /// the trace, so a screen-then-dense pair pays for one good simulation
 /// instead of two. The trace depends on the sequence alone, so a
-/// prepared sequence stays valid whatever the fault list or the prefix
-/// cache do in the meantime.
+/// prepared sequence stays valid whatever the fault list does in the
+/// meantime.
 #[derive(Debug)]
 pub struct PreparedSequence {
     seq: TestSequence,
@@ -165,41 +148,6 @@ impl PreparedSequence {
     pub fn sequence(&self) -> &TestSequence {
         &self.seq
     }
-}
-
-/// Result of [`Query::outcome`].
-#[derive(Debug)]
-pub struct PreparedOutcome {
-    /// Indices (into the queried fault list, ascending) of the detected
-    /// faults — identical to [`Query::detected_indices`].
-    pub detected: Vec<usize>,
-    /// Faulty-machine cycles skipped by resuming batches mid-sequence.
-    pub resumed_cycles: u64,
-    /// Snapshots newly compressed into the install's spill store this
-    /// run (0 when the raw representation applied or capture was off).
-    pub snapshot_spills: u64,
-    /// Total bytes the install's spilled snapshots pin after budget
-    /// enforcement (0 for raw stores).
-    pub snapshot_bytes: u64,
-    /// Whether snapshot capture was declined because `batches ×
-    /// flip-flops` exceeded even the spill cap.
-    pub snapshot_capture_denied: bool,
-    /// Entry the caller may install into its [`PrefixTraceCache`] once
-    /// this evaluation's result is committed: the sequence with its
-    /// faulty-plane snapshots. `None` when nothing was captured (no
-    /// cache attached, the reference kernel, or capture denied).
-    pub install: Option<CacheInstall>,
-}
-
-/// Everything one dense engine run reports: per-fault detection times
-/// plus the resume and capture accounting [`Query::outcome`] surfaces.
-struct DenseRun {
-    times: Vec<Option<usize>>,
-    resumed_cycles: u64,
-    artifacts: Option<AnyArtifacts>,
-    snapshot_spills: u64,
-    snapshot_bytes: u64,
-    capture_denied: bool,
 }
 
 /// One batch of up to `W::BITS − 1` faults sharing a simulation word:
@@ -292,9 +240,8 @@ macro_rules! with_lanes {
 }
 
 /// The lane types [`FaultSim`] dispatches to: plane words that can wrap
-/// themselves into the width-erased containers ([`LaneState`],
-/// [`AnyArtifacts`]).
-trait SimWord: Word + ArtifactLane {
+/// their [`Lanes`] into the width-erased [`LaneState`].
+trait SimWord: Word {
     fn wrap(lanes: Lanes<Self>) -> LaneState;
 }
 
@@ -680,12 +627,9 @@ impl<'c> FaultSim<'c> {
     /// into `stop`, ending the batch at a cycle boundary with its state
     /// intact.
     ///
-    /// `resume` and `snap` are the compiled kernel's mid-sequence
-    /// snapshot hooks (see [`compiled::run_batch`]); the reference
-    /// kernel always walks the full sequence, so callers must pass
-    /// `None` when `reference` is set. `prev0` holds the fault-free net
-    /// values entering the sequence — the launch half of a cycle-0
-    /// transition-delay activation; `None` is the all-`X` start.
+    /// `prev0` holds the fault-free net values entering the sequence —
+    /// the launch half of a cycle-0 transition-delay activation; `None`
+    /// is the all-`X` start.
     #[allow(clippy::too_many_arguments)]
     fn run_one<W: Word>(
         &self,
@@ -697,8 +641,6 @@ impl<'c> FaultSim<'c> {
         prev0: Option<&[Logic3]>,
         ff: &mut [Planes<W>],
         scratch: &mut Scratch<W>,
-        resume: Option<&compiled::BatchCkpt<W>>,
-        snap: Option<&mut Vec<compiled::BatchCkpt<W>>>,
         mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
     ) -> (W, BatchStats) {
         let cancel = &self.cancel;
@@ -714,7 +656,6 @@ impl<'c> FaultSim<'c> {
             (drop, stop)
         };
         if reference {
-            debug_assert!(resume.is_none() && snap.is_none());
             compiled::run_batch_reference(
                 &self.compiled,
                 sched,
@@ -740,8 +681,6 @@ impl<'c> FaultSim<'c> {
                 &mut scratch.nets,
                 &mut scratch.dirty,
                 &mut scratch.buf,
-                resume,
-                snap,
                 sink,
             )
         }
@@ -920,8 +859,6 @@ impl<'c> FaultSim<'c> {
                         prev0,
                         &mut ff_run,
                         scratch,
-                        None,
-                        None,
                         |_, ctx: &CycleCtx<W>| {
                             let detected_now = ctx.obs_diff & ctx.live;
                             if !detected_now.is_zero() {
@@ -976,265 +913,62 @@ impl<'c> FaultSim<'c> {
             faults,
             seq: None,
             prep: None,
-            cache: None,
         }
     }
 
     /// Dense detection engine behind every [`Query`] terminal that needs
-    /// per-fault results: runs every batch to the end of the sequence
-    /// (with fault dropping), returning the first detection time per
-    /// fault, the faulty-machine cycles skipped by snapshot resume, and
-    /// — for prepared queries under the capture cap — the faulty-plane
-    /// snapshots to install into the prefix cache.
-    ///
-    /// With `cache` absent this is the plain from-scratch dense query:
-    /// no resume, no capture. With `cache` present each batch resumes
-    /// from the latest snapshot, cached under the sequence sharing the
-    /// longest input prefix with `seq`, at or before the divergence
-    /// cycle — bit-identical to the from-scratch run in every observable
-    /// (each snapshot carries the cumulative stats and detections of the
-    /// cycles it skips, and an armed cancellation token is pre-charged
-    /// with the skipped fault-cycles) — and captures this run's
-    /// snapshots for the caller to install.
-    fn run_dense<W: SimWord>(
+    /// per-fault results: runs every batch from cycle 0 to the end of
+    /// the sequence (with fault dropping), returning the first
+    /// detection time per fault.
+    fn run_dense<W: Word>(
         &self,
         faults: &FaultList,
         seq: &TestSequence,
         trace: &GoodTrace,
-        cache: Option<&PrefixTraceCache>,
-    ) -> DenseRun {
+    ) -> Vec<Option<usize>> {
         let num_dffs = self.circuit.num_dffs();
         let batches = self.make_batches::<W>(faults);
         let n_jobs = batches.len();
-        let fingerprint = prefix::fault_fingerprint(faults);
-        // Snapshot capture is tiered on the plane footprint `batches ×
-        // flip-flops` — a pure function of the query shape, so
-        // artifacts either exist for every evaluation of a fault list
-        // or for none, and a cached store always matches the
-        // representation a rerun would pick. Small queries keep raw
-        // plane vectors; above the state cap snapshots are spilled to
-        // the compressed XOR-delta form; above the spill cap capture is
-        // declined and the denial reported.
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        enum Capture {
-            Off,
-            Raw,
-            Spill,
-            Denied,
-        }
-        let cache = cache.filter(|_| !self.options.reference_kernel);
-        let capture = if cache.is_none() {
-            Capture::Off
-        } else if n_jobs * num_dffs <= ARTIFACT_STATE_CAP {
-            Capture::Raw
-        } else if n_jobs * num_dffs <= ARTIFACT_SPILL_CAP {
-            Capture::Spill
-        } else {
-            Capture::Denied
-        };
-        // Artifacts cached at another word width fail the downcast and
-        // simply miss.
-        let arts: Option<(&FaultyArtifacts<W>, usize)> = cache
-            .and_then(|c| c.best_prefix(seq).map(|(ei, d)| (c.entry(ei), d)))
-            .and_then(|(entry, d)| {
-                W::from_any(&entry.faulty)
-                    .filter(|fa| fa.fingerprint == fingerprint && fa.store.num_batches() == n_jobs)
-                    .map(|fa| (fa, d))
+        let jobs: Vec<(usize, Batch<W>)> = batches.into_iter().enumerate().collect();
+        let per_batch: Vec<(Vec<(usize, usize)>, BatchStats)> =
+            self.scatter(jobs, |(bi, batch), scratch| {
+                self.run_isolated(bi, scratch, |reference, scratch| {
+                    let mut found: Vec<(usize, usize)> = Vec::new();
+                    let mut ff = vec![Planes::ALL_X; num_dffs];
+                    let (_, stats) = self.run_one(
+                        reference,
+                        &batch.plan.sched,
+                        batch.live,
+                        seq,
+                        trace,
+                        None,
+                        &mut ff,
+                        scratch,
+                        |u, ctx: &CycleCtx<W>| {
+                            let detected_now = ctx.obs_diff & ctx.live;
+                            if !detected_now.is_zero() {
+                                collect_hits(&batch.plan.fault_indices, detected_now, |gi| {
+                                    found.push((gi, u))
+                                });
+                            }
+                            (detected_now, false)
+                        },
+                    );
+                    (found, stats)
+                })
             });
-        if let Some((fa, _)) = arts {
-            debug_assert!(
-                matches!(
-                    (&fa.store, capture),
-                    (SnapshotStore::Raw(_), Capture::Raw)
-                        | (SnapshotStore::Spilled(_), Capture::Spill)
-                ),
-                "cached store representation must match the rerun's capture tier"
-            );
-        }
-        type Ckpt<W> = Arc<compiled::BatchCkpt<W>>;
-        type Job<W> = (usize, Batch<W>, Option<Ckpt<W>>);
-        // Snapshots at or before each batch's resume point stay valid
-        // for the new sequence and carry over into its entry; they are
-        // merged back in (deterministic) batch order after the fan-out.
-        let mut carry_raw: Vec<Vec<Ckpt<W>>> = vec![Vec::new(); n_jobs];
-        let mut carry_spilled: Vec<Vec<Arc<SpilledCkpt<W>>>> = vec![Vec::new(); n_jobs];
-        let jobs: Vec<Job<W>> = batches
-            .into_iter()
-            .enumerate()
-            .map(|(bi, batch)| {
-                // Resume from the latest snapshot still inside the
-                // shared prefix; spilled snapshots are decompressed
-                // against the new trace (identical on prefix rows).
-                let resume = match arts {
-                    Some((fa, d)) => match &fa.store {
-                        SnapshotStore::Raw(pb) => {
-                            let list = &pb[bi];
-                            let resume = list.iter().rfind(|ck| ck.cycle <= d).cloned();
-                            if let Some(r) = &resume {
-                                carry_raw[bi] = list
-                                    .iter()
-                                    .filter(|ck| ck.cycle <= r.cycle)
-                                    .cloned()
-                                    .collect();
-                            }
-                            resume
-                        }
-                        SnapshotStore::Spilled(pb) => {
-                            let list = &pb[bi];
-                            let spill = list.iter().rfind(|ck| ck.cycle <= d);
-                            if let Some(r) = spill {
-                                carry_spilled[bi] = list
-                                    .iter()
-                                    .filter(|ck| ck.cycle <= r.cycle)
-                                    .cloned()
-                                    .collect();
-                            }
-                            spill.map(|s| Arc::new(s.restore(trace, &self.compiled.dff_d)))
-                        }
-                    },
-                    None => None,
-                };
-                (bi, batch, resume)
-            })
-            .collect();
-        let capture_on = matches!(capture, Capture::Raw | Capture::Spill);
-        type Out<W> = (
-            Vec<(usize, usize)>,
-            BatchStats,
-            Option<Vec<compiled::BatchCkpt<W>>>,
-            u64,
-        );
-        let per_batch: Vec<Out<W>> = self.scatter(jobs, |(bi, batch, resume), scratch| {
-            self.run_isolated(bi, scratch, |reference, scratch| {
-                let mut found: Vec<(usize, usize)> = Vec::new();
-                // A reference run (primary kernel or panic retry) has no
-                // resume path: it replays the batch from scratch and
-                // captures no snapshots.
-                let (mut ff, from) = match (&resume, reference) {
-                    (Some(ck), false) => (ck.ff.clone(), Some(&**ck)),
-                    _ => (vec![Planes::ALL_X; num_dffs], None),
-                };
-                if let Some(ck) = from {
-                    // Detections and budget charge of the skipped prefix
-                    // carry over, so query totals match from-scratch.
-                    found.extend_from_slice(&ck.found);
-                    if self.cancel.is_armed() {
-                        self.cancel.charge_fault_cycles(ck.stats.fault_cycles);
-                    }
-                }
-                let mut snaps: Vec<compiled::BatchCkpt<W>> = Vec::new();
-                let snap = if capture_on && !reference {
-                    Some(&mut snaps)
-                } else {
-                    None
-                };
-                let (_, stats) = self.run_one(
-                    reference,
-                    &batch.plan.sched,
-                    batch.live,
-                    seq,
-                    trace,
-                    None,
-                    &mut ff,
-                    scratch,
-                    from,
-                    snap,
-                    |u, ctx: &CycleCtx<W>| {
-                        let detected_now = ctx.obs_diff & ctx.live;
-                        if !detected_now.is_zero() {
-                            collect_hits(&batch.plan.fault_indices, detected_now, |gi| {
-                                found.push((gi, u))
-                            });
-                        }
-                        (detected_now, false)
-                    },
-                );
-                let skipped = from.map_or(0, |ck| ck.cycle as u64);
-                // Raw snapshots move to the merge loop, which owns the
-                // found-filter and (on the spill tier) compression; a
-                // reference retry forfeits capture entirely.
-                (found, stats, (!reference).then_some(snaps), skipped)
-            })
-        });
         let mut times = vec![None; faults.len()];
         let mut stats = BatchStats::default();
         let mut dropped = 0usize;
-        let mut raw_store: Vec<Vec<Ckpt<W>>> = Vec::new();
-        let mut spill_store: Vec<Vec<Arc<SpilledCkpt<W>>>> = Vec::new();
-        let mut snapshot_spills = 0u64;
-        let mut resumed_cycles = 0u64;
-        for (bi, (found, bstats, captured, skipped)) in per_batch.into_iter().enumerate() {
+        for (found, bstats) in per_batch {
             stats.merge(bstats);
             dropped += found.len();
-            // Each stored snapshot keeps only the detections strictly
-            // before its cycle, so a resume replays the rest verbatim.
-            match (capture, captured) {
-                (Capture::Raw, Some(snaps)) => {
-                    let mut list = std::mem::take(&mut carry_raw[bi]);
-                    list.extend(snaps.into_iter().map(|mut s| {
-                        s.found = found
-                            .iter()
-                            .filter(|&&(_, u)| u < s.cycle)
-                            .copied()
-                            .collect();
-                        Arc::new(s)
-                    }));
-                    raw_store.push(list);
-                }
-                (Capture::Spill, Some(snaps)) => {
-                    let mut list = std::mem::take(&mut carry_spilled[bi]);
-                    for mut s in snaps {
-                        s.found = found
-                            .iter()
-                            .filter(|&&(_, u)| u < s.cycle)
-                            .copied()
-                            .collect();
-                        snapshot_spills += 1;
-                        list.push(Arc::new(SpilledCkpt::compress(
-                            &s,
-                            trace,
-                            &self.compiled.dff_d,
-                        )));
-                    }
-                    spill_store.push(list);
-                }
-                // A panic-retried batch reran under the reference
-                // kernel and forfeits its snapshots, carried included.
-                (Capture::Raw, None) => raw_store.push(Vec::new()),
-                (Capture::Spill, None) => spill_store.push(Vec::new()),
-                _ => {}
-            }
             for (gi, u) in found {
                 times[gi] = Some(u);
             }
-            resumed_cycles += skipped;
         }
         self.record_run(n_jobs, stats, dropped);
-        let mut snapshot_bytes = 0u64;
-        let artifacts = match capture {
-            Capture::Raw => Some(W::into_any(FaultyArtifacts {
-                fingerprint,
-                store: SnapshotStore::Raw(raw_store),
-            })),
-            Capture::Spill => {
-                snapshot_bytes =
-                    prefix::enforce_spill_budget(&mut spill_store, prefix::SPILL_BYTE_BUDGET)
-                        as u64;
-                Some(W::into_any(FaultyArtifacts {
-                    fingerprint,
-                    store: SnapshotStore::Spilled(spill_store),
-                }))
-            }
-            Capture::Off | Capture::Denied => None,
-        };
-        DenseRun {
-            times,
-            resumed_cycles,
-            artifacts,
-            snapshot_spills,
-            snapshot_bytes,
-            capture_denied: capture == Capture::Denied,
-        }
+        times
     }
 
     /// Early-exit screening engine behind [`Query::any`]: stops the
@@ -1267,8 +1001,6 @@ impl<'c> FaultSim<'c> {
                     None,
                     &mut ff,
                     scratch,
-                    None,
-                    None,
                     |_, ctx: &CycleCtx<W>| {
                         if found.load(Ordering::Relaxed) {
                             cancelled = 1;
@@ -1357,8 +1089,6 @@ impl<'c> FaultSim<'c> {
                     None,
                     &mut ff,
                     scratch,
-                    None,
-                    None,
                     |_, ctx: &CycleCtx<W>| {
                         for &n in ctx.dirty_nets {
                             acc[n as usize] |= ctx.nets[n as usize].diff_from_good();
@@ -1465,8 +1195,6 @@ impl<'c> FaultSim<'c> {
                     prev0,
                     &mut ff,
                     scratch,
-                    None,
-                    None,
                     |_, ctx: &CycleCtx<W>| {
                         if found.load(Ordering::Relaxed) {
                             cancelled = 1;
@@ -1544,8 +1272,6 @@ impl<'c> FaultSim<'c> {
 ///   trace was computed up front, so a screen-then-dense pair pays for
 ///   one good simulation instead of two.
 ///
-/// An optional [`cache`](Query::cache) supplies the prefix cache whose
-/// faulty-plane snapshots [`outcome`](Query::outcome) resumes from.
 /// Terminals consume the builder; every terminal panics if the sequence
 /// width does not match the circuit, and each reports exactly one
 /// telemetry record (`sim.calls` for the dense and observability
@@ -1557,7 +1283,6 @@ pub struct Query<'q, 'c> {
     faults: &'q FaultList,
     seq: Option<&'q TestSequence>,
     prep: Option<&'q PreparedSequence>,
-    cache: Option<&'q PrefixTraceCache>,
 }
 
 impl<'q, 'c> Query<'q, 'c> {
@@ -1574,14 +1299,6 @@ impl<'q, 'c> Query<'q, 'c> {
     pub fn prepared(mut self, prep: &'q PreparedSequence) -> Self {
         self.prep = Some(prep);
         self.seq = None;
-        self
-    }
-
-    /// Prefix cache an [`outcome`](Query::outcome) resumes its fault
-    /// batches from (looked up when the query runs) and captures its own
-    /// snapshots for. Ignored by every other terminal.
-    pub fn cache(mut self, cache: &'q PrefixTraceCache) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -1606,9 +1323,7 @@ impl<'q, 'c> Query<'q, 'c> {
     pub fn detection_times(self) -> Vec<Option<usize>> {
         let (seq, trace) = self.resolve();
         with_word!(self.sim.options.word_width, W => {
-            self.sim
-                .run_dense::<W>(self.faults, seq, &trace, None)
-                .times
+            self.sim.run_dense::<W>(self.faults, seq, &trace)
         })
     }
 
@@ -1662,41 +1377,6 @@ impl<'q, 'c> Query<'q, 'c> {
         with_word!(self.sim.options.word_width, W => {
             self.sim.run_lines::<W>(self.faults, seq, &trace)
         })
-    }
-
-    /// The dense query with its cache bookkeeping: detected indices plus
-    /// the resume accounting and the [`CacheInstall`] the caller may
-    /// publish once the result is committed. With a
-    /// [`cache`](Query::cache) attached, fault batches resume from its
-    /// snapshots and this run's snapshots are captured; without one it
-    /// is a plain dense query.
-    ///
-    /// Bit-identical to [`detected_indices`](Query::detected_indices) in
-    /// every observable: detections, drop order, and the deterministic
-    /// telemetry counters (each resumed batch carries the cumulative
-    /// stats and detections of the cycles it skips).
-    pub fn outcome(self) -> PreparedOutcome {
-        let (seq, trace) = self.resolve();
-        let run = with_word!(self.sim.options.word_width, W => {
-            self.sim.run_dense::<W>(self.faults, seq, &trace, self.cache)
-        });
-        let detected = run
-            .times
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|_| i))
-            .collect();
-        PreparedOutcome {
-            detected,
-            resumed_cycles: run.resumed_cycles,
-            snapshot_spills: run.snapshot_spills,
-            snapshot_bytes: run.snapshot_bytes,
-            snapshot_capture_denied: run.capture_denied,
-            install: run.artifacts.map(|faulty| CacheInstall {
-                seq: seq.clone(),
-                faulty,
-            }),
-        }
     }
 }
 
@@ -2383,129 +2063,10 @@ mod tests {
         }
     }
 
-    /// Runs one prepared dense query against a fresh simulator with its
-    /// own telemetry, returning the outcome and the deterministic
-    /// counters that single query produced.
-    fn prepared_query(
-        c: &Circuit,
-        cache: &crate::prefix::PrefixTraceCache,
-        faults: &FaultList,
-        seq: &TestSequence,
-        threads: usize,
-    ) -> (super::PreparedOutcome, Vec<(String, u64)>) {
-        let tel = Telemetry::enabled();
-        let sim =
-            FaultSim::with_options(c, SimOptions::with_threads(threads)).telemetry(tel.clone());
-        let prep = prepare_one(&sim, seq);
-        let out = sim.query(faults).prepared(&prep).cache(cache).outcome();
-        (out, tel.counters())
-    }
-
     fn prepare_one(sim: &FaultSim<'_>, seq: &TestSequence) -> PreparedSequence {
         let mut preps = sim.prepare_sequences(std::slice::from_ref(seq));
         assert_eq!(preps.len(), 1);
         preps.pop().unwrap()
-    }
-
-    fn install(cache: &mut crate::prefix::PrefixTraceCache, out: super::PreparedOutcome) {
-        cache.install(
-            out.install
-                .expect("a cached dense query captures snapshots"),
-        );
-    }
-
-    #[test]
-    fn prepared_queries_match_from_scratch_with_identical_counters() {
-        let (c, faults) = multi_batch();
-        let base_seq = walk_sequence(40);
-        // A probe diverging from the base at cycle 20.
-        let mut rows: Vec<Vec<bool>> = (0..40)
-            .map(|u| vec![u % 2 == 0, u % 3 == 0, u % 5 != 0])
-            .collect();
-        for row in rows.iter_mut().skip(20) {
-            row[2] = !row[2];
-        }
-        let probe = TestSequence::from_rows(rows).unwrap();
-
-        // From-scratch expectations, each from its own telemetry handle.
-        let scratch_tel = Telemetry::enabled();
-        let scratch =
-            FaultSim::with_options(&c, SimOptions::with_threads(1)).telemetry(scratch_tel.clone());
-        let expect_base = scratch
-            .query(&faults)
-            .sequence(&base_seq)
-            .detected_indices();
-        let base_counters = scratch_tel.counters();
-        let scratch_tel2 = Telemetry::enabled();
-        let scratch2 =
-            FaultSim::with_options(&c, SimOptions::with_threads(1)).telemetry(scratch_tel2.clone());
-        let expect_probe = scratch2.query(&faults).sequence(&probe).detected_indices();
-        let probe_counters = scratch_tel2.counters();
-
-        // Cold query populates the cache; its counters match from-scratch.
-        let mut cache = crate::prefix::PrefixTraceCache::new();
-        let (out, counters) = prepared_query(&c, &cache, &faults, &base_seq, 1);
-        assert_eq!(out.detected, expect_base);
-        assert_eq!(out.resumed_cycles, 0, "cold cache cannot resume");
-        assert_eq!(counters, base_counters);
-        install(&mut cache, out);
-
-        // Warm query resumes from the divergence cycle — identical
-        // detections and identical deterministic counters, fewer
-        // actually-simulated cycles.
-        for threads in [1usize, 4] {
-            let (out, counters) = prepared_query(&c, &cache, &faults, &probe, threads);
-            assert_eq!(out.detected, expect_probe, "threads={threads}");
-            assert!(out.resumed_cycles > 0, "shared prefix must resume");
-            assert_eq!(counters, probe_counters, "threads={threads}");
-        }
-
-        // An exact duplicate of the cached sequence replays only the
-        // suffix past its terminal snapshot (if any); results and
-        // counters still match from-scratch exactly.
-        let (out, counters) = prepared_query(&c, &cache, &faults, &base_seq, 1);
-        assert_eq!(out.detected, expect_base);
-        assert!(out.resumed_cycles > 0, "duplicate must resume");
-        assert_eq!(counters, base_counters);
-    }
-
-    /// Faulty-plane snapshots resume at wide widths too, and artifacts
-    /// cached at one width miss safely (no resume, correct results) when
-    /// the querying simulator runs at another.
-    #[test]
-    fn prepared_resume_respects_word_width() {
-        let (c, faults) = multi_batch();
-        let seq = walk_sequence(40);
-        let expect = FaultSim::with_options(&c, SimOptions::with_threads(1))
-            .query(&faults)
-            .sequence(&seq)
-            .detected_indices();
-        let wide_opts = SimOptions::with_threads(1).word_width(WordWidth::W128);
-        let wide = FaultSim::with_options(&c, wide_opts);
-        let mut cache = crate::prefix::PrefixTraceCache::new();
-        let prep = prepare_one(&wide, &seq);
-        let out = wide.query(&faults).prepared(&prep).cache(&cache).outcome();
-        assert_eq!(out.detected, expect);
-        assert_eq!(out.resumed_cycles, 0, "cold cache cannot resume");
-        install(&mut cache, out);
-        // Same width: the duplicate resumes from its own snapshots.
-        let out = wide.query(&faults).prepared(&prep).cache(&cache).outcome();
-        assert_eq!(out.detected, expect);
-        assert!(out.resumed_cycles > 0, "same-width artifacts must resume");
-        // Other width: the artifact downcast misses and the results are
-        // unchanged.
-        let narrow = FaultSim::with_options(&c, SimOptions::with_threads(1));
-        let prep = prepare_one(&narrow, &seq);
-        let out = narrow
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&cache)
-            .outcome();
-        assert_eq!(out.detected, expect);
-        assert_eq!(
-            out.resumed_cycles, 0,
-            "cross-width artifacts must miss, not corrupt"
-        );
     }
 
     #[test]
@@ -2517,24 +2078,6 @@ mod tests {
         assert_eq!(
             sim.query(&faults).prepared(&prep).any(),
             sim.query(&faults).sequence(&seq).any()
-        );
-    }
-
-    /// A dense query without a cache attached neither resumes nor
-    /// captures: prepared or raw, it is the plain from-scratch query.
-    #[test]
-    fn cacheless_outcome_captures_nothing() {
-        let (c, faults) = multi_batch();
-        let seq = walk_sequence(24);
-        let sim = FaultSim::with_options(&c, SimOptions::with_threads(1));
-        let prep = prepare_one(&sim, &seq);
-        let out = sim.query(&faults).prepared(&prep).outcome();
-        assert!(out.install.is_none(), "no cache, no snapshots");
-        assert_eq!(out.resumed_cycles, 0);
-        assert_eq!(out.snapshot_spills, 0);
-        assert_eq!(
-            out.detected,
-            sim.query(&faults).sequence(&seq).detected_indices()
         );
     }
 
@@ -2581,40 +2124,5 @@ mod tests {
         );
         assert_eq!(raw_tel.effort("sim.good_sweeps"), 2 * seqs.len() as u64);
         assert!(sim.prepare_sequences(&[]).is_empty());
-    }
-
-    #[test]
-    fn reference_kernel_ignores_the_cache() {
-        let (c, faults) = multi_batch();
-        let seq = walk_sequence(24);
-        let oracle = FaultSim::with_options(&c, SimOptions::with_threads(1).reference_kernel(true));
-        let mut cache = crate::prefix::PrefixTraceCache::new();
-        let prep = prepare_one(&oracle, &seq);
-        let out = oracle
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&cache)
-            .outcome();
-        assert_eq!(
-            out.detected,
-            oracle.query(&faults).sequence(&seq).detected_indices()
-        );
-        assert_eq!(out.resumed_cycles, 0);
-        assert!(out.install.is_none(), "the oracle captures nothing");
-        // Even with a compiled-kernel entry installed, the oracle must
-        // keep simulating from scratch.
-        let compiled = FaultSim::with_options(&c, SimOptions::with_threads(1));
-        let out = compiled
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&cache)
-            .outcome();
-        install(&mut cache, out);
-        let out = oracle
-            .query(&faults)
-            .prepared(&prep)
-            .cache(&cache)
-            .outcome();
-        assert_eq!(out.resumed_cycles, 0);
     }
 }

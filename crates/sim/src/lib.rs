@@ -53,7 +53,6 @@ pub mod logic;
 pub mod misr;
 mod plane;
 pub mod pool;
-pub mod prefix;
 pub mod reference;
 pub mod run;
 pub mod runctl;
@@ -63,13 +62,10 @@ mod word;
 
 pub use compiled::SWEEP_LANES;
 pub use error::SimError;
-pub use fault::{
-    CompiledHandle, FaultSim, FaultSimState, PreparedOutcome, PreparedSequence, Query, SimOptions,
-};
+pub use fault::{CompiledHandle, FaultSim, FaultSimState, PreparedSequence, Query, SimOptions};
 pub use good::{LogicSim, SimTrace};
 pub use logic::Logic3;
 pub use misr::Misr;
-pub use prefix::{CacheInstall, PrefixTraceCache};
 pub use reference::SerialFaultSim;
 pub use run::RunOptions;
 pub use runctl::{Budget, CancelToken, TruncationReason};

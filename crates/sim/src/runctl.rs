@@ -153,15 +153,18 @@ impl CancelToken {
 
     /// Arms a token for `budget`, starting the wall clock now. An
     /// unlimited budget still yields an armed token so that
-    /// [`CancelToken::cancel`] works.
+    /// [`CancelToken::cancel`] works. A wall budget too large to
+    /// represent as a deadline (`inf`, `f64::MAX`, or one that overflows
+    /// `Instant`) could never trip, so it arms no deadline at all.
     pub fn for_budget(budget: &Budget) -> CancelToken {
         CancelToken {
             inner: Some(Arc::new(TokenInner {
                 tripped: AtomicBool::new(false),
                 reason: AtomicU8::new(0),
-                deadline: budget
-                    .wall_secs
-                    .map(|s| Instant::now() + Duration::from_secs_f64(s.max(0.0))),
+                deadline: budget.wall_secs.and_then(|s| {
+                    let wall = Duration::try_from_secs_f64(s.max(0.0)).ok()?;
+                    Instant::now().checked_add(wall)
+                }),
                 fault_cycle_limit: budget.fault_cycles.unwrap_or(u64::MAX),
                 fault_cycles: AtomicU64::new(0),
                 max_assignments: budget.max_assignments,
@@ -271,6 +274,18 @@ mod tests {
     fn expired_deadline_trips_as_wall_clock() {
         let t = CancelToken::for_budget(&Budget::unlimited().wall_secs(0.0));
         assert_eq!(t.cancelled(), Some(TruncationReason::WallClock));
+    }
+
+    #[test]
+    fn unrepresentable_wall_budgets_arm_no_deadline() {
+        for secs in [f64::INFINITY, f64::MAX, 1e19] {
+            let t = CancelToken::for_budget(&Budget::unlimited().wall_secs(secs));
+            assert!(t.is_armed(), "{secs}");
+            assert_eq!(t.cancelled(), None, "{secs}");
+            // The other limits still work on such a token.
+            t.cancel(TruncationReason::Cancelled);
+            assert_eq!(t.cancelled(), Some(TruncationReason::Cancelled), "{secs}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! machine per bit, so the word width directly sets the batch capacity:
 //! a `u64` lane carries the fault-free machine plus 63 faulty machines,
 //! a `u128` lane 127, and the feature-gated 256-bit lane 255. Every
-//! kernel, schedule and snapshot type is generic over [`Word`]; the
+//! kernel, schedule and state type is generic over [`Word`]; the
 //! width is picked once per simulator at construction time via
 //! [`WordWidth`] (`SimOptions::word_width`) and dispatched to the
 //! monomorphized engines at the public `FaultSim` entry points.

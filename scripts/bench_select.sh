@@ -6,7 +6,7 @@
 #                                [--threads N] [--t-len N] [--lg N]
 #                                [--keep-every N] [--word-width 64|128|256]
 #                                [--fault-model stuck-at|transition]
-#                                [--reps N] [--golden] [--no-prefix-cache]
+#                                [--reps N] [--golden]
 # Extra arguments are forwarded to the synth_bench binary. The committed
 # BENCH_select.json is regenerated with:
 #   scripts/bench_select.sh --circuits s1196,s5378,s35932 --reps 3

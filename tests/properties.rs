@@ -348,3 +348,102 @@ proptest! {
         prop_assert_eq!(&traces[0], &traces[1]);
     }
 }
+
+/// Valid `wbist serve` request lines, one per op and submit shape.
+const SERVE_REQUESTS: &[&str] = &[
+    r#"{"op":"register","name":"c","builtin":"s27"}"#,
+    r#"{"op":"register","name":"b","bench":"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"}"#,
+    r#"{"op":"submit","id":"j1","kind":"synth","circuit":"c","wall_secs":1.5}"#,
+    r#"{"op":"submit","id":"j2","tenant":"t","kind":"synth","circuit":"c","lg":64,"seed":7,"wall_secs":30,"fault_cycles":5000,"max_assignments":3}"#,
+    r#"{"op":"submit","id":"j3","kind":"sim","circuit":"c","rows":["0101","1100"],"wall_secs":2}"#,
+    r#"{"op":"status","id":"j1"}"#,
+    r#"{"op":"stats"}"#,
+    r#"{"op":"cancel","id":"j1"}"#,
+    r#"{"op":"evict","id":"j2"}"#,
+    r#"{"op":"failpoint","site":"serve.job_run","times":2}"#,
+    r#"{"op":"shutdown"}"#,
+];
+
+/// Numbers at the edges of what JSON, `f64`, `u64` and `Duration` hold.
+const EDGE_NUMBERS: &[&str] = &[
+    "1e999",
+    "-1e999",
+    "-0",
+    "0",
+    "1e-999",
+    "4.9e-324",
+    "1e19",
+    "1.7976931348623157e308",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+];
+
+/// Byte spans of the numeric values in a request line.
+fn numeric_spans(line: &str) -> Vec<(usize, usize)> {
+    let b = line.as_bytes();
+    let mut spans = Vec::new();
+    for i in 1..b.len() {
+        if b[i - 1] == b':' && (b[i].is_ascii_digit() || b[i] == b'-') {
+            let end = (i..b.len())
+                .find(|&j| !matches!(b[j], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                .unwrap_or(b.len());
+            spans.push((i, end));
+        }
+    }
+    spans
+}
+
+/// Parses one line the way the daemon does, and arms the budget of an
+/// accepted submit as a worker would. Rejections must be typed errors.
+fn serve_line_is_handled(line: &str) -> Result<(), TestCaseError> {
+    use wbist::serve::{parse_request, Request};
+    use wbist::sim::CancelToken;
+    match parse_request(line) {
+        Ok(Request::Submit(spec)) => {
+            if let Some(secs) = spec.budget.wall_secs {
+                prop_assert!(secs > 0.0, "accepted wall_secs {} in {:?}", secs, line);
+            }
+            let token = CancelToken::for_budget(&spec.budget);
+            prop_assert!(token.is_armed());
+        }
+        Ok(_) => {}
+        Err(e) => prop_assert!(!e.message.is_empty(), "empty error for {:?}", line),
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Mutated serve requests never panic the protocol layer or the
+    /// worker that arms an accepted job's budget. Every numeric field
+    /// of the chosen request takes every edge value (the submit shapes
+    /// put `1e999` and `1e19` into `wall_secs`); then byte flips and a
+    /// truncation corrupt the line further.
+    #[test]
+    fn mutated_serve_requests_never_panic(
+        pick in 0usize..SERVE_REQUESTS.len(),
+        edits in prop::collection::vec((0usize..10_000, 0u8..=255), 0..4),
+        cut in 0usize..10_000,
+    ) {
+        let base = SERVE_REQUESTS[pick];
+        serve_line_is_handled(base)?;
+        let mut lines = Vec::new();
+        for &(start, end) in &numeric_spans(base) {
+            for edge in EDGE_NUMBERS {
+                lines.push(format!("{}{edge}{}", &base[..start], &base[end..]));
+            }
+        }
+        lines.push(base.to_string());
+        for line in lines {
+            serve_line_is_handled(&line)?;
+            let mut bytes = line.into_bytes();
+            for &(pos, byte) in &edits {
+                let p = pos % bytes.len();
+                bytes[p] = byte;
+            }
+            // Half the draws keep the full line.
+            bytes.truncate(cut % (2 * bytes.len()));
+            serve_line_is_handled(&String::from_utf8_lossy(&bytes))?;
+        }
+    }
+}

@@ -1,13 +1,12 @@
 //! Bit-identity of the selection walk across execution settings.
 //!
-//! Worker count, fault-plane word width and the prefix-trace cache are
-//! wall-clock knobs only: `Ω`, the detection/abandonment flags, and
-//! every deterministic telemetry counter must be bit-identical to the
-//! single-threaded 64-bit walk under every combination of them.
+//! Worker count and fault-plane word width are wall-clock knobs only:
+//! `Ω`, the detection/abandonment flags, and every deterministic
+//! telemetry counter must be bit-identical to the single-threaded
+//! 64-bit walk under every combination of them.
 
 use proptest::prelude::*;
 use wbist::atpg::Lfsr;
-use wbist::circuits::structured::sequence_lock;
 use wbist::circuits::{s27, synthetic};
 use wbist::core::{RunOptions, Synthesis, SynthesisConfig, SynthesisResult, Telemetry};
 use wbist::netlist::{Circuit, FaultList};
@@ -16,8 +15,7 @@ use wbist::sim::{TestSequence, WordWidth};
 type Counters = Vec<(String, u64)>;
 
 /// One synthesis run at a given worker count and word width, returning
-/// the result, the deterministic counter snapshot, and the prefix-reuse
-/// effort figures (`select.prefix_hits`, `select.cycles_skipped`).
+/// the result and the deterministic counter snapshot.
 fn run_once(
     c: &Circuit,
     t: &TestSequence,
@@ -26,7 +24,7 @@ fn run_once(
     base: &SynthesisConfig,
     threads: usize,
     word_width: WordWidth,
-) -> (SynthesisResult, Counters, u64, u64) {
+) -> (SynthesisResult, Counters) {
     let tel = Telemetry::enabled();
     let mut run = RunOptions::with_threads(threads).telemetry(tel.clone());
     run.sim.word_width = word_width;
@@ -39,18 +37,13 @@ fn run_once(
         synth = synth.already_detected(pre);
     }
     let result = synth.run();
-    (
-        result,
-        tel.counters(),
-        tel.effort("select.prefix_hits"),
-        tel.effort("select.cycles_skipped"),
-    )
+    (result, tel.counters())
 }
 
 fn assert_identical(
     label: &str,
-    reference: &(SynthesisResult, Counters, u64, u64),
-    candidate: &(SynthesisResult, Counters, u64, u64),
+    reference: &(SynthesisResult, Counters),
+    candidate: &(SynthesisResult, Counters),
 ) {
     assert_eq!(candidate.0.omega, reference.0.omega, "{label}: Ω");
     assert_eq!(
@@ -132,60 +125,6 @@ fn s1196_thread_counts_match_reference_walk() {
     for threads in [2usize, 4] {
         let candidate = run_once(&c, &t, &faults, Some(&pre), &base, threads, WordWidth::W64);
         assert_identical(&format!("threads={threads}"), &reference, &candidate);
-    }
-}
-
-/// A walk whose candidate sets contain stream-equivalent subsequences
-/// must resolve the duplicate `T_G` through the prefix-trace cache —
-/// and stay bit-identical while doing so. A single-input sequence lock
-/// driven by an arming prefix plus a periodic tail provides exactly
-/// that: the `01` window at `L_S = 2` and the `0101` window at
-/// `L_S = 4` repeat to the same generated stream (with one input, a
-/// candidate *is* the whole assignment), while the gated fault resists
-/// every periodic candidate, so both ranks land in the same keep-free
-/// segment and the second resolves as a full-length prefix share.
-///
-/// The cache is written in walk order, so the reuse figures are a pure
-/// function of the walk: they must be thread-invariant too.
-#[test]
-fn duplicate_heavy_walk_reuses_the_prefix_cache() {
-    let c = sequence_lock(1, 3);
-    let faults = FaultList::checkpoints(&c);
-    let t = TestSequence::parse_rows(&["1", "1", "1", "1", "0", "1", "0", "1", "0", "1"])
-        .expect("valid rows");
-    // Leave only the hardest fault (largest detection time) as a target:
-    // one long keep-free walk instead of several short segments.
-    let times = wbist::sim::FaultSim::new(&c)
-        .query(&faults)
-        .sequence(&t)
-        .detection_times();
-    let hardest = times
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| t.map(|u| (i, u)))
-        .max_by_key(|&(_, u)| u)
-        .map(|(i, _)| i)
-        .expect("T detects something");
-    let pre: Vec<bool> = (0..faults.len()).map(|i| i != hardest).collect();
-    let base = SynthesisConfig {
-        sequence_length: 60,
-        sample_first: false,
-        ..SynthesisConfig::default()
-    };
-    let reference = run_once(&c, &t, &faults, Some(&pre), &base, 1, WordWidth::W64);
-    let (hits, skipped) = (reference.2, reference.3);
-    assert!(
-        hits > 0 && skipped > 0,
-        "duplicate-heavy walk must reuse prefixes; hits={hits} skipped={skipped}"
-    );
-    for threads in [2usize, 4] {
-        let candidate = run_once(&c, &t, &faults, Some(&pre), &base, threads, WordWidth::W64);
-        assert_identical(&format!("threads={threads}"), &reference, &candidate);
-        assert_eq!(
-            (candidate.2, candidate.3),
-            (hits, skipped),
-            "prefix counters must be thread-invariant (threads={threads})"
-        );
     }
 }
 
