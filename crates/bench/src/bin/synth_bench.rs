@@ -35,7 +35,9 @@
 //! evaluations (every gate of every cycle, once per sweep), and
 //! `good_sweeps`/`good_lanes` the fault-free sweeps and the sequences
 //! they carried, over the whole run. Every dense query simulates its
-//! candidate from cycle 0.
+//! candidate from cycle 0; `faults_retired` counts the faulty machines
+//! the run's one-shot queries dropped undetected because their state
+//! repeated at the sequence's input period.
 
 use std::time::Instant;
 use wbist_atpg::Lfsr;
@@ -199,6 +201,7 @@ fn main() {
         let trace_gates_evaluated = tel.effort("select.trace_gates_evaluated");
         let good_sweeps = tel.effort("sim.good_sweeps");
         let good_lanes = tel.effort("sim.good_lanes");
+        let retired = tel.counter("sim.faults_retired");
         let detected_targets = result
             .detected
             .iter()
@@ -206,7 +209,7 @@ fn main() {
             .filter(|&(&d, &p)| d && !p)
             .count() as u64;
         eprintln!(
-                "{name}: {targets} {} targets, {threads} thread(s): {:.2} s ({:.1} candidates/s, {tried} tried)",
+                "{name}: {targets} {} targets, {threads} thread(s): {:.2} s ({:.1} candidates/s, {tried} tried, {retired} faults retired)",
                 model.name(),
                 secs,
                 tried as f64 / secs,
@@ -240,6 +243,7 @@ fn main() {
             ("trace_gates_evaluated", trace_gates_evaluated.into()),
             ("good_sweeps", good_sweeps.into()),
             ("good_lanes", good_lanes.into()),
+            ("faults_retired", retired.into()),
             ("omega_len", result.omega.len().into()),
             ("targets_detected", detected_targets.into()),
             (

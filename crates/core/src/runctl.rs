@@ -643,6 +643,7 @@ const KNOWN_COUNTERS: &[&str] = &[
     "sim.cycles",
     "sim.fault_cycles",
     "sim.faults_dropped",
+    "sim.faults_retired",
     "sim.gates_evaluated",
     "sim.gates_skipped",
     "sim.screen_calls",

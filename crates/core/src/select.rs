@@ -626,7 +626,8 @@ fn screening_sample(faults: &FaultList, live: &[usize], fi: usize, size: usize) 
 
 /// Generates the sequences of `batch` (rank, assignment) pairs and
 /// prepares their good traces in one lane-parallel sweep, recording the
-/// sweep's good-machine gate evaluations.
+/// sweep's good-machine gate evaluations: every gate, in every cycle
+/// until the last lane stopped recording.
 fn prepare_batch(
     sim: &FaultSim<'_>,
     batch: Vec<(usize, WeightAssignment)>,
@@ -634,13 +635,15 @@ fn prepare_batch(
     tel: &Telemetry,
 ) -> Vec<(usize, WeightAssignment, PreparedSequence)> {
     let seqs: Vec<TestSequence> = batch.iter().map(|(_, a)| a.generate(len)).collect();
+    let preps = sim.prepare_sequences(&seqs);
+    let swept = preps.iter().map(PreparedSequence::recorded_rows).max();
     tel.add_effort(
         "select.trace_gates_evaluated",
-        (sim.circuit().num_gates() * len) as u64,
+        (sim.circuit().num_gates() * swept.unwrap_or(0)) as u64,
     );
     batch
         .into_iter()
-        .zip(sim.prepare_sequences(&seqs))
+        .zip(preps)
         .map(|((rank, a), prep)| (rank, a, prep))
         .collect()
 }

@@ -9,6 +9,7 @@
 use crate::error::NetlistError;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a net (signal) within one [`Circuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,6 +185,31 @@ pub enum Load {
     DffData(usize),
 }
 
+/// The net-name table's hasher: 64-bit FNV-1a. Net names are short,
+/// and hashing them with the std SipHash took most of a large netlist's
+/// parse. FNV is not collision resistant, so a netlist built to collide
+/// only slows down its own parse.
+#[derive(Debug, Clone, Copy)]
+struct NameHasher(u64);
+
+impl Default for NameHasher {
+    fn default() -> Self {
+        NameHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for NameHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// A gate-level synchronous sequential circuit.
 ///
 /// Build one with the `add_*` methods, then call [`Circuit::levelize`] to
@@ -194,7 +220,7 @@ pub struct Circuit {
     name: String,
     net_names: Vec<String>,
     drivers: Vec<Driver>,
-    by_name: HashMap<String, NetId>,
+    by_name: HashMap<String, NetId, BuildHasherDefault<NameHasher>>,
     gates: Vec<Gate>,
     dffs: Vec<Dff>,
     inputs: Vec<NetId>,
@@ -214,7 +240,7 @@ impl Circuit {
             name: name.into(),
             net_names: Vec::new(),
             drivers: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: HashMap::default(),
             gates: Vec::new(),
             dffs: Vec::new(),
             inputs: Vec::new(),

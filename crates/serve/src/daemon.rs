@@ -469,8 +469,10 @@ impl Server {
         let Some(rec_arc) = self.job(id) else {
             return;
         };
-        // Arm this attempt.
-        let (spec, token) = {
+        // Arm this attempt. Arming runs under `catch_unwind` like the
+        // body, so a panic there retries or fails the job instead of
+        // killing the worker with the job left `running`.
+        let (spec, armed) = {
             let mut rec = rec_arc.lock().unwrap_or_else(|p| p.into_inner());
             if rec.state != JobState::Queued {
                 return; // cancelled while queued
@@ -478,15 +480,21 @@ impl Server {
             rec.state = JobState::Running;
             rec.attempts += 1;
             rec.started = Some(Instant::now());
-            rec.cancel = CancelToken::for_budget(&rec.spec.budget);
-            (rec.spec.clone(), rec.cancel.clone())
+            let armed = catch_unwind(AssertUnwindSafe(|| {
+                failpoint::panic_if_armed("serve.job_arm");
+                CancelToken::for_budget(&rec.spec.budget)
+            }));
+            if let Ok(token) = &armed {
+                rec.cancel = token.clone();
+            }
+            (rec.spec.clone(), armed)
         };
         self.running.fetch_add(1, Ordering::SeqCst);
         self.attempts.fetch_add(1, Ordering::SeqCst);
         self.emit_job_event(id, "running", vec![]);
 
-        let body = AssertUnwindSafe(|| self.job_body(&spec, &token));
-        let outcome = catch_unwind(body);
+        let outcome =
+            armed.and_then(|token| catch_unwind(AssertUnwindSafe(|| self.job_body(&spec, &token))));
         self.running.fetch_sub(1, Ordering::SeqCst);
 
         match outcome {

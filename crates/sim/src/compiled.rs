@@ -51,6 +51,12 @@
 //! nets can differ, and the per-cycle detection scan walks the dirty
 //! list against the static observed flag. A run therefore costs what
 //! its faults disturb, with no setup proportional to the circuit.
+//!
+//! On a periodic sequence a run also ends early: the sweep stops
+//! recording a lane once its state repeats at the input period
+//! ([`GoodTrace::row`] maps later cycles back), and a one-shot run
+//! retires every machine whose state repeats ([`run_batch`]; the
+//! exactness argument is in the `fault` module docs).
 
 use crate::logic::Logic3;
 use crate::plane::Planes;
@@ -440,7 +446,7 @@ impl CompiledCircuit {
         init_ff: &[Logic3],
     ) -> (GoodTrace, Vec<Logic3>) {
         debug_assert_eq!(init_ff.len(), self.num_dffs);
-        let (mut traces, ff) = self.sweep(&[seq], init_ff);
+        let (mut traces, ff) = self.sweep(&[(seq, None)], init_ff);
         (traces.pop().expect("one lane in, one trace out"), ff)
     }
 
@@ -448,9 +454,11 @@ impl CompiledCircuit {
     /// one topological sweep per [`SWEEP_LANES`] sequences of any
     /// lengths: every gate is evaluated once per cycle for all the
     /// sequences of a sweep at once, so a sweep costs little more than
-    /// one sequence does. Trace `l` is exactly what a one-lane call over
-    /// `seqs[l]` records.
-    pub(crate) fn good_traces(&self, seqs: &[&TestSequence]) -> Vec<GoodTrace> {
+    /// one sequence does. Each sequence comes with its input period (see
+    /// [`TestSequence::period`]), and its lane stops recording once its
+    /// state repeats at that period (see [`sweep`](Self::sweep)). Trace
+    /// `l` reads exactly what a one-lane call over `seqs[l]` records.
+    pub(crate) fn good_traces(&self, seqs: &[(&TestSequence, Option<usize>)]) -> Vec<GoodTrace> {
         let init = vec![Logic3::X; self.num_dffs];
         seqs.chunks(SWEEP_LANES)
             .flat_map(|group| self.sweep(group, &init).0)
@@ -460,10 +468,23 @@ impl CompiledCircuit {
     /// The lane-parallel sweep behind [`good_trace`](Self::good_trace)
     /// and [`good_traces`](Self::good_traces), sequence `l` in lane `l`
     /// of every net's sweep byte: every lane enters with the flip-flop
-    /// state `init_ff` and runs until the longest sequence ends; a lane
-    /// past its own end is driven with `X` inputs and no longer
-    /// recorded. Returns the traces and lane 0's final flip-flop state.
-    fn sweep(&self, seqs: &[&TestSequence], init_ff: &[Logic3]) -> (Vec<GoodTrace>, Vec<Logic3>) {
+    /// state `init_ff`; a lane past its own end is driven with `X`
+    /// inputs and no longer recorded. Returns the traces and lane 0's
+    /// final flip-flop state.
+    ///
+    /// A lane with period `p` compares its flip-flop bits at every
+    /// multiple of `p` with those it had `p` cycles earlier. Once they
+    /// match at cycle `R`, the same state under the same inputs makes
+    /// cycle `u ≥ R` repeat cycle `u − p`, so the lane records no more
+    /// rows and its trace maps later reads back by whole periods
+    /// ([`GoodTrace::row`]). The sweep ends when no lane records; lane
+    /// 0's final state is then only meaningful for a lane without a
+    /// period.
+    fn sweep(
+        &self,
+        seqs: &[(&TestSequence, Option<usize>)],
+        init_ff: &[Logic3],
+    ) -> (Vec<GoodTrace>, Vec<Logic3>) {
         debug_assert!(seqs.len() <= SWEEP_LANES);
         let of_logic = |v: Logic3| match v {
             Logic3::One => LOW,
@@ -472,10 +493,13 @@ impl CompiledCircuit {
         };
         let mut traces: Vec<GoodTrace> = seqs
             .iter()
-            .map(|s| GoodTrace::with_capacity(self.num_nets, s.len()))
+            .map(|&(s, _)| GoodTrace::with_capacity(self.num_nets, s.len()))
             .collect();
-        let cycles = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
         let mut ff: Vec<u8> = init_ff.iter().map(|&v| of_logic(v)).collect();
+        // Per lane: whether it still records, and its flip-flop bytes at
+        // the last multiple of its period.
+        let mut recording = [false; SWEEP_LANES];
+        let mut snaps: Vec<Vec<u8>> = vec![Vec::new(); seqs.len()];
         // The net bytes, then the known-0 byte and the chain scratch byte
         // the sweep records read past them, padded to a power of two so
         // every index can be masked into range.
@@ -484,9 +508,27 @@ impl CompiledCircuit {
         let nets = &mut buf[..=mask];
         nets[self.num_nets] = !LOW;
         let mut pis = vec![0u8; self.pi_nets.len()];
-        for u in 0..cycles {
+        for u in 0.. {
+            for (l, &(s, period)) in seqs.iter().enumerate() {
+                // A closed lane's rows stop short of `u`.
+                recording[l] = u < s.len() && traces[l].rows == u;
+                let Some(p) = period.filter(|p| recording[l] && u % p == 0) else {
+                    continue;
+                };
+                let lane = 1 << l | 1 << (l + SWEEP_LANES);
+                let moved = ff.iter().zip(&snaps[l]).fold(0, |m, (a, b)| m | (a ^ b));
+                if u > 0 && moved & lane == 0 {
+                    traces[l].period = p;
+                    recording[l] = false;
+                } else {
+                    snaps[l].clone_from(&ff);
+                }
+            }
+            if !recording.contains(&true) {
+                break;
+            }
             pis.fill(0);
-            for (l, s) in seqs.iter().enumerate().filter(|(_, s)| u < s.len()) {
+            for (l, &(s, _)) in seqs.iter().enumerate().filter(|&(_, (s, _))| u < s.len()) {
                 for (p, &b) in pis.iter_mut().zip(s.row(u)) {
                     *p |= 1 << if b { l } else { l + SWEEP_LANES };
                 }
@@ -508,14 +550,17 @@ impl CompiledCircuit {
             }
             for planes in row_planes(&nets[..self.num_nets]) {
                 for (l, trace) in traces.iter_mut().enumerate() {
-                    if u < trace.len() {
+                    if recording[l] {
                         trace.ones.push(planes[l]);
                         trace.zeros.push(planes[l + SWEEP_LANES]);
                     }
                 }
             }
+            for (trace, _) in traces.iter_mut().zip(recording).filter(|&(_, r)| r) {
+                trace.rows += 1;
+            }
         }
-        debug_assert!(traces.iter().all(|t| t.ones.len() == t.words * t.len()));
+        debug_assert!(traces.iter().all(|t| t.ones.len() == t.words * t.rows));
         let ff = ff
             .iter()
             .map(|&p| match (p & 1, p >> SWEEP_LANES & 1) {
@@ -529,50 +574,79 @@ impl CompiledCircuit {
 }
 
 /// Bit-packed per-cycle values of every net in the fault-free machine.
+///
+/// A trace covers `len()` cycles but may record fewer rows: when the
+/// sweep saw the state at row `rows` repeat the one `period` cycles
+/// earlier, every later cycle repeats an earlier one, and
+/// [`row`](Self::row) maps it back by whole periods. Reads take the
+/// recorded row, so a kernel maps each cycle once.
 #[derive(Debug, Clone)]
 pub(crate) struct GoodTrace {
     num_cycles: usize,
+    /// Recorded rows: `num_cycles`, or the cycle whose state repeated.
+    rows: usize,
+    /// The repeat distance when `rows < num_cycles`.
+    period: usize,
     words: usize,
     ones: Vec<u64>,
     zeros: Vec<u64>,
 }
 
 impl GoodTrace {
-    /// A trace of `num_cycles` rows with room for them and none written:
-    /// the sweep pushes each row's words once, in order.
+    /// A trace of `num_cycles` cycles with room for as many rows and
+    /// none written: the sweep pushes each row's words once, in order.
     fn with_capacity(num_nets: usize, num_cycles: usize) -> GoodTrace {
         let words = num_nets.div_ceil(64);
         GoodTrace {
             num_cycles,
+            rows: 0,
+            period: 0,
             words,
             ones: Vec::with_capacity(words * num_cycles),
             zeros: Vec::with_capacity(words * num_cycles),
         }
     }
 
-    /// Number of recorded cycles.
+    /// Number of cycles the trace covers.
     pub(crate) fn len(&self) -> usize {
         self.num_cycles
     }
 
-    /// The fault-free value of net `n` at cycle `u`, broadcast to all
-    /// machine bit positions of the requested lane width. The trace
+    /// Number of recorded rows. Below [`len`](Self::len), the fault-free
+    /// state entering every cycle `u ≥ rows()` equals the one entering
+    /// `u − period`.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The recorded row holding cycle `u`.
+    #[inline]
+    pub(crate) fn row(&self, u: usize) -> usize {
+        if u < self.rows {
+            u
+        } else {
+            self.rows - self.period + (u - self.rows) % self.period
+        }
+    }
+
+    /// The fault-free value of net `n` in recorded row `r`, broadcast to
+    /// all machine bit positions of the requested lane width. The trace
     /// itself is packed one bit per net regardless of the batch width —
     /// only this broadcast is width-dependent.
     #[inline]
-    pub(crate) fn planes<W: Word>(&self, u: usize, n: usize) -> Planes<W> {
+    pub(crate) fn planes<W: Word>(&self, r: usize, n: usize) -> Planes<W> {
         // A four-entry table on the ones bit (bit 0) and the zeros bit
         // (bit 1), without a branch; both bits set reads as 1.
-        let w = u * self.words + n / 64;
+        let w = r * self.words + n / 64;
         let one = self.ones[w] >> (n % 64) & 1;
         let zero = self.zeros[w] >> (n % 64) & 1;
         Planes::<W>::BY_CODE[(one | zero << 1) as usize]
     }
 
-    /// The fault-free value of net `n` at cycle `u` as a scalar.
+    /// The fault-free value of net `n` in recorded row `r` as a scalar.
     #[inline]
-    pub(crate) fn value(&self, u: usize, n: usize) -> Logic3 {
-        let w = u * self.words + n / 64;
+    pub(crate) fn value(&self, r: usize, n: usize) -> Logic3 {
+        let w = r * self.words + n / 64;
         let bit = 1u64 << (n % 64);
         if self.ones[w] & bit != 0 {
             Logic3::One
@@ -775,20 +849,22 @@ pub(crate) struct MaskBuf<W> {
 }
 
 impl<W: Word> MaskBuf<W> {
-    pub(crate) fn new() -> MaskBuf<W> {
+    fn new() -> MaskBuf<W> {
         MaskBuf::default()
     }
 
-    /// Rebuilds the effective masks for cycle `u`: copies the static
-    /// arrays, then ORs in every conditional injection whose activation
-    /// condition holds on the fault-free machine. The launch value at
-    /// cycle 0 comes from `prev0` (the good net values entering the
-    /// sequence — `None` means the all-`X` start, which never launches).
+    /// Rebuilds the effective masks for cycle `u`, held in trace row
+    /// `r`: copies the static arrays, then ORs in every conditional
+    /// injection whose activation condition holds on the fault-free
+    /// machine. The launch value at cycle 0 comes from `prev0` (the good
+    /// net values entering the sequence — `None` means the all-`X`
+    /// start, which never launches).
     fn refresh(
         &mut self,
         sched: &Schedule<W>,
         trace: &GoodTrace,
         u: usize,
+        r: usize,
         prev0: Option<&[Logic3]>,
     ) {
         self.src_pi.clear();
@@ -803,11 +879,12 @@ impl<W: Word> MaskBuf<W> {
         self.pins.extend_from_slice(&sched.pins);
         self.dffs.clear();
         self.dffs.extend_from_slice(&sched.dffs);
+        let prev_row = u.checked_sub(1).map(|p| trace.row(p));
         for ci in &sched.cond {
             let n = ci.watch as usize;
-            let cur = trace.value(u, n);
-            let prev = if u > 0 {
-                trace.value(u - 1, n)
+            let cur = trace.value(r, n);
+            let prev = if let Some(pr) = prev_row {
+                trace.value(pr, n)
             } else {
                 match prev0 {
                     Some(p) => p[n],
@@ -883,11 +960,36 @@ fn merge_src<W: Word>(v: &mut Vec<(u32, u32, W, W)>, key: u32, net: u32, f1: W, 
     }
 }
 
-/// Per-worker scratch for the dirty-set kernel. All buffers are
-/// allocated once (per worker, per query) and reused across batches and
-/// cycles — the cycle loop itself never allocates.
+/// Per-worker scratch: one net-plane buffer, the dirty-set bookkeeping,
+/// the per-cycle injection masks and the state snapshot of the period
+/// check, allocated once per worker and reused across every batch and
+/// cycle it processes.
 #[derive(Debug, Clone)]
-pub(crate) struct DirtyScratch {
+pub(crate) struct Scratch<W> {
+    nets: Vec<Planes<W>>,
+    dirty: DirtyScratch,
+    /// Per-cycle effective injection masks, used only by batches whose
+    /// schedule carries conditional (transition-delay) injections.
+    buf: MaskBuf<W>,
+    /// The dirty flip-flops and their planes entering the last multiple
+    /// of the period, ascending; used only by runs given a period.
+    snap: Vec<(u32, Planes<W>)>,
+}
+
+impl<W: Word> Scratch<W> {
+    pub(crate) fn new(cc: &CompiledCircuit) -> Scratch<W> {
+        Scratch {
+            nets: vec![Planes::ALL_X; cc.num_nets],
+            dirty: DirtyScratch::new(cc),
+            buf: MaskBuf::new(),
+            snap: Vec::with_capacity(cc.num_dffs),
+        }
+    }
+}
+
+/// The dirty-set bookkeeping of a [`Scratch`].
+#[derive(Debug, Clone)]
+struct DirtyScratch {
     /// Per-net flag: planes currently differ from the good machine on a
     /// live bit. Valid within one cycle; cleared by walking `dirty_nets`.
     dirty: Vec<bool>,
@@ -905,7 +1007,7 @@ pub(crate) struct DirtyScratch {
 }
 
 impl DirtyScratch {
-    pub(crate) fn new(cc: &CompiledCircuit) -> DirtyScratch {
+    fn new(cc: &CompiledCircuit) -> DirtyScratch {
         DirtyScratch {
             dirty: vec![false; cc.num_nets],
             dirty_nets: Vec::with_capacity(cc.num_nets),
@@ -934,6 +1036,10 @@ pub(crate) struct CycleCtx<'a, W> {
     pub(crate) dirty_nets: &'a [u32],
 }
 
+/// The per-cycle callback of the batch kernels: given the cycle and its
+/// [`CycleCtx`], the machine bits to drop and whether to stop.
+pub(crate) type Sink<'s, W> = dyn FnMut(usize, &CycleCtx<W>) -> (W, bool) + 's;
+
 /// Deterministic effort accounting for one batch run.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BatchStats {
@@ -946,6 +1052,9 @@ pub(crate) struct BatchStats {
     /// Live fault-cycles: per evaluated cycle, the number of faults
     /// still live at its start.
     pub(crate) fault_cycles: u64,
+    /// Faults retired undetected because their state repeated at the
+    /// input period.
+    pub(crate) retired: u64,
 }
 
 /// Drives one batch through `seq` with dirty-set evaluation.
@@ -953,7 +1062,10 @@ pub(crate) struct BatchStats {
 /// After every evaluated cycle the `sink` is called with a [`CycleCtx`]
 /// and returns `(drop_bits, stop)`: `drop_bits` are removed from the
 /// live mask (shrinking the dirty set), and `stop` ends the run early.
-/// The run also ends when the live mask empties.
+/// The run also ends when the live mask empties. The sink is a trait
+/// object: it runs once per cycle, and one copy of the kernel per word
+/// width keeps the binary (and a small run's resident code) smaller
+/// than a copy per query type did.
 ///
 /// `ff` holds the batch's persistent flip-flop planes. Planes of
 /// flip-flops that end the run clean are synced to the broadcast good
@@ -964,6 +1076,17 @@ pub(crate) struct BatchStats {
 /// incremental segments); `None` is the all-`X` start. It only gates
 /// conditional-injection launches at cycle 0 — cycles past the first
 /// read their launch value from the trace itself.
+///
+/// `period` is the input period of `seq` (see
+/// [`TestSequence::period`]) for a run from the reset state, and turns
+/// on retirement. At every multiple `u` of the period, once the trace
+/// shows the fault-free state entering `u` equal to the one entering
+/// `u − period`, each live machine whose flip-flop state also repeated
+/// leaves the live mask undetected and is counted in
+/// [`BatchStats::retired`]. Its future repeats the window just
+/// simulated, in which it was not detected, so it never will be. A
+/// transition-delay machine also needs the fault-free state at `u − 1`
+/// to repeat, because its launch reads the previous cycle.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch<W: Word>(
     cc: &CompiledCircuit,
@@ -972,15 +1095,23 @@ pub(crate) fn run_batch<W: Word>(
     seq: &TestSequence,
     trace: &GoodTrace,
     prev0: Option<&[Logic3]>,
+    period: Option<usize>,
     ff: &mut [Planes<W>],
-    nets: &mut [Planes<W>],
-    scratch: &mut DirtyScratch,
-    buf: &mut MaskBuf<W>,
-    mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
+    scratch: &mut Scratch<W>,
+    sink: &mut Sink<'_, W>,
 ) -> (W, BatchStats) {
     debug_assert_eq!(trace.len(), seq.len());
+    debug_assert!(trace.rows() == trace.len() || period == Some(trace.period));
     let has_cond = !sched.cond.is_empty();
+    // Machines whose activation reads the previous good cycle.
+    let launch_bits = sched.cond.iter().fold(W::ZERO, |m, c| m | c.bit);
     let mut stats = BatchStats::default();
+    let Scratch {
+        nets,
+        dirty: scratch,
+        buf,
+        snap,
+    } = scratch;
     let DirtyScratch {
         dirty,
         dirty_nets,
@@ -1005,11 +1136,27 @@ pub(crate) fn run_batch<W: Word>(
         }
     }
     for u in 0..seq.len() {
+        let r = trace.row(u);
+        if period.is_some_and(|p| u % p == 0) {
+            let eligible = if u > trace.rows() {
+                live
+            } else {
+                live & !launch_bits
+            };
+            let repeated = take_period_snapshot(cc, trace, u, eligible, snap, dirty_dffs, ff);
+            if !repeated.is_zero() {
+                live &= !repeated;
+                stats.retired += repeated.count_ones() as u64;
+                if live.is_zero() {
+                    break;
+                }
+            }
+        }
         stats.cycles = u + 1;
         stats.fault_cycles += live.count_ones() as u64;
         let mut evaluated = 0u64;
         let inj = if has_cond {
-            buf.refresh(sched, trace, u, prev0);
+            buf.refresh(sched, trace, u, r, prev0);
             buf.view()
         } else {
             sched.static_view()
@@ -1050,7 +1197,7 @@ pub(crate) fn run_batch<W: Word>(
                 let base = if dff_dirty[k as usize] {
                     ff[k as usize]
                 } else {
-                    trace.planes(u, n as usize)
+                    trace.planes(r, n as usize)
                 };
                 nets[n as usize] = base.inject(f1, f0);
                 if !dirty[n as usize] {
@@ -1106,12 +1253,12 @@ pub(crate) fn run_batch<W: Word>(
                     if dirty[n as usize] {
                         nets[n as usize]
                     } else {
-                        trace.planes(u, n as usize)
+                        trace.planes(r, n as usize)
                     }
                 });
                 let out = cc.out_nets[pos] as usize;
                 nets[out] = v;
-                let good = trace.planes::<W>(u, out);
+                let good = trace.planes::<W>(r, out);
                 if !(((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | W::LSB)).is_zero()
                     && !dirty[out]
                 {
@@ -1140,7 +1287,7 @@ pub(crate) fn run_batch<W: Word>(
                 let mut v = if dirty[d] {
                     nets[d]
                 } else {
-                    trace.planes(u, d)
+                    trace.planes(r, d)
                 };
                 while id < inj.dffs.len() && (inj.dffs[id].0 as usize) < k {
                     id += 1;
@@ -1149,7 +1296,7 @@ pub(crate) fn run_batch<W: Word>(
                     let (_, f1, f0) = inj.dffs[id];
                     v = v.inject(f1 & live, f0 & live);
                 }
-                let good = trace.planes::<W>(u, d);
+                let good = trace.planes::<W>(r, d);
                 if !(((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | W::LSB)).is_zero() {
                     ff[k] = v;
                     dff_dirty[k] = true;
@@ -1188,7 +1335,7 @@ pub(crate) fn run_batch<W: Word>(
     // planes so the persistent batch state is valid at the query
     // boundary.
     if stats.cycles > 0 {
-        let last = stats.cycles - 1;
+        let last = trace.row(stats.cycles - 1);
         for k in 0..cc.num_dffs {
             if !dff_dirty[k] {
                 ff[k] = trace.planes(last, cc.dff_d[k] as usize);
@@ -1196,6 +1343,56 @@ pub(crate) fn run_batch<W: Word>(
         }
     }
     (live, stats)
+}
+
+/// The period check of [`run_batch`] entering cycle `u`, a multiple of
+/// the period: returns the `eligible` machines whose flip-flop state
+/// repeated the `snap`shot taken one period earlier — none until the
+/// fault-free state has repeated too (`u ≥ trace.rows()`) — and then
+/// snapshots the current state for the next check.
+///
+/// A flip-flop outside both dirty lists holds the fault-free value at
+/// both times, so only the two ascending lists are walked: a dirty
+/// flip-flop's planes are `ff`'s now and `snap`'s then, a clean one's
+/// the good value.
+fn take_period_snapshot<W: Word>(
+    cc: &CompiledCircuit,
+    trace: &GoodTrace,
+    u: usize,
+    eligible: W,
+    snap: &mut Vec<(u32, Planes<W>)>,
+    dirty_dffs: &[u32],
+    ff: &[Planes<W>],
+) -> W {
+    let mut moved = W::ALL;
+    if u >= trace.rows() {
+        let r = trace.row(u);
+        let good = |k: u32| trace.planes::<W>(r, cc.dff_q[k as usize] as usize);
+        let differ = |a: Planes<W>, b: Planes<W>| (a.ones ^ b.ones) | (a.zeros ^ b.zeros);
+        moved = W::ZERO;
+        let (mut then, mut now) = (snap.iter().peekable(), dirty_dffs.iter().peekable());
+        loop {
+            match (then.peek(), now.peek()) {
+                (Some(&&(k, was)), Some(&&d)) if k == d => {
+                    moved |= differ(was, ff[d as usize]);
+                    then.next();
+                    now.next();
+                }
+                (Some(&&(k, was)), next) if next.is_none_or(|&&d| k < d) => {
+                    moved |= differ(was, good(k));
+                    then.next();
+                }
+                (_, Some(&&d)) => {
+                    moved |= differ(ff[d as usize], good(d));
+                    now.next();
+                }
+                (_, None) => break,
+            }
+        }
+    }
+    snap.clear();
+    snap.extend(dirty_dffs.iter().map(|&k| (k, ff[k as usize])));
+    eligible & !moved
 }
 
 /// Schedules every consumer of `net`: gate loads into the gate bitmap,
@@ -1231,12 +1428,12 @@ pub(crate) fn run_batch_reference<W: Word>(
     trace: &GoodTrace,
     prev0: Option<&[Logic3]>,
     ff: &mut [Planes<W>],
-    nets: &mut [Planes<W>],
-    buf: &mut MaskBuf<W>,
-    mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
+    scratch: &mut Scratch<W>,
+    sink: &mut Sink<'_, W>,
 ) -> (W, BatchStats) {
     debug_assert_eq!(trace.len(), seq.len());
     let has_cond = !sched.cond.is_empty();
+    let Scratch { nets, buf, .. } = scratch;
     nets.fill(Planes::ALL_X);
     let mut stats = BatchStats::default();
     for u in 0..seq.len() {
@@ -1246,7 +1443,7 @@ pub(crate) fn run_batch_reference<W: Word>(
         // The trace feeds only conditional-injection activation: the
         // reference machine's own evolution stays trace-free.
         let inj = if has_cond {
-            buf.refresh(sched, trace, u, prev0);
+            buf.refresh(sched, trace, u, trace.row(u), prev0);
             buf.view()
         } else {
             sched.static_view()
@@ -1501,6 +1698,8 @@ mod tests {
         // Nets 0..4 carry the codes 0..4 in row 0; row 1 is all `X`.
         let trace = GoodTrace {
             num_cycles: 2,
+            rows: 2,
+            period: 0,
             words: 1,
             ones: vec![0b1010, 0],
             zeros: vec![0b1100, 0],
@@ -1595,7 +1794,13 @@ mod tests {
         for u in 0..seq.len() {
             crate::good::step(c, seq.row(u), &mut state, &mut nets);
             for (n, &want) in nets.iter().enumerate() {
-                prop_assert_eq!(trace.value(u, n), want, "net {} at cycle {}", n, u);
+                prop_assert_eq!(
+                    trace.value(trace.row(u), n),
+                    want,
+                    "net {} at cycle {}",
+                    n,
+                    u
+                );
             }
             for &gid in c.topo_gates() {
                 let g = c.gate(gid);
@@ -1657,7 +1862,9 @@ mod tests {
 
         /// A batch of sequences of mixed lengths equals `LogicSim` lane
         /// by lane, at batch sizes from one partial sweep to sixteen
-        /// sweeps with a ragged last one.
+        /// sweeps with a ragged last one. Lanes repeat with periods 1–4
+        /// or not at all, so some stop recording early and are read
+        /// through the period.
         #[test]
         fn every_lane_of_a_batched_sweep_equals_logic_sim(
             seed in any::<u64>(),
@@ -1667,20 +1874,24 @@ mod tests {
             size_sel in 0usize..9,
             rows in prop::collection::vec(any::<u64>(), 24..25),
             lens in prop::collection::vec(0usize..24, 64..65),
+            repeats in prop::collection::vec(0usize..5, 64..65),
         ) {
             let lanes = [1usize, 2, 4, 5, 9, 17, 33, 63, 64][size_sel];
             let gates = 2 * dffs + extra + 3;
             let c = SyntheticSpec::new("prop", inputs, 1 + extra % 4, dffs, gates, seed).build();
             let cc = CompiledCircuit::build(&c);
-            // Lane `l` reads the rows from offset `l`, so lanes differ.
+            // Lane `l` reads the rows from offset `l`, so lanes differ,
+            // and wraps after `repeats[l]` rows unless that is 0.
             let seqs: Vec<TestSequence> = (0..lanes)
                 .map(|l| {
+                    let wrap = if repeats[l] == 0 { rows.len() } else { repeats[l] };
                     let picked: Vec<u64> =
-                        (0..lens[l]).map(|u| rows[(u + l) % rows.len()] ^ l as u64).collect();
+                        (0..lens[l]).map(|u| rows[(u % wrap + l) % rows.len()] ^ l as u64).collect();
                     random_sequence(inputs, &picked)
                 })
                 .collect();
-            let refs: Vec<&TestSequence> = seqs.iter().collect();
+            let refs: Vec<(&TestSequence, Option<usize>)> =
+                seqs.iter().map(|s| (s, s.period())).collect();
             let traces = cc.good_traces(&refs);
             prop_assert_eq!(traces.len(), lanes);
             let mut cover = KindCoverage::default();
@@ -1711,7 +1922,7 @@ mod tests {
                 random_sequence(c.num_inputs(), &picked)
             })
             .collect();
-        let refs: Vec<&TestSequence> = seqs.iter().collect();
+        let refs: Vec<(&TestSequence, Option<usize>)> = seqs.iter().map(|s| (s, None)).collect();
         let dffs = c.num_dffs();
         for init in [vec![Logic3::X; dffs], random_state(&ff_bits[..dffs])] {
             let (traces, final_ff) = cc.sweep(&refs, &init);

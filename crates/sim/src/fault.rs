@@ -56,6 +56,33 @@
 //! planes agree on every live machine bit (dropped bits may diverge —
 //! the compiled kernel stops maintaining them).
 //!
+//! # Retirement on periodic sequences
+//!
+//! Every one-shot query knows its sequence's input period `P`
+//! ([`TestSequence::period`]; a weighted `T_G` always has one). At
+//! every multiple `u = kP` the compiled kernel compares each live
+//! machine's flip-flop state with the one it had at `u − P`. Once the
+//! fault-free state has also repeated, a machine whose state repeated
+//! is *retired*: it leaves the live set without a detection and is
+//! counted in the deterministic `sim.faults_retired` counter.
+//!
+//! This is exact. From cycle `u` on, the inputs repeat those from
+//! `u − P`, and both the faulty and the fault-free machine enter `u` in
+//! the state they had at `u − P`, so by determinism every later cycle
+//! repeats one `P` cycles earlier, outputs included. The machine was
+//! live through `[u − P, u)`, so nothing in that window detected it,
+//! and nothing after it ever will. A transition-delay machine's launch
+//! also reads the fault-free net values of the previous cycle, so it
+//! retires only once the fault-free state at `u − 1` has repeated too.
+//! The decision depends on the machine and the query alone, so
+//! detections, detection times and `sim.fault_cycles` stay invariant
+//! across word widths and thread counts. The fault-free sweep stops
+//! recording a sequence at the same kind of repeat, and later reads map
+//! back by whole periods. [`FaultSim::advance`] and
+//! [`FaultSim::sample_detects`] continue from carried states with rows
+//! the period does not cover, and the reference kernel is the
+//! full-length oracle: none of them retires.
+//!
 //! # Threading model
 //!
 //! Fault batches are mutually independent — they share nothing but the
@@ -72,7 +99,7 @@
 //! available cores).
 
 use crate::compiled::{
-    self, BatchStats, CompiledCircuit, CycleCtx, DirtyScratch, GoodTrace, MaskBuf, SWEEP_LANES,
+    self, BatchStats, CompiledCircuit, CycleCtx, GoodTrace, Scratch, SWEEP_LANES,
 };
 use crate::error::SimError;
 use crate::logic::Logic3;
@@ -137,9 +164,15 @@ impl SimOptions {
 /// instead of two. The trace depends on the sequence alone, so a
 /// prepared sequence stays valid whatever the fault list does in the
 /// meantime.
+///
+/// Preparation also finds the sequence's input period
+/// ([`TestSequence::period`]). The trace then stops once the fault-free
+/// state repeats at that period, and the one-shot queries retire every
+/// faulty machine whose own state repeats (see the `compiled` module).
 #[derive(Debug)]
 pub struct PreparedSequence {
     seq: TestSequence,
+    period: Option<usize>,
     trace: GoodTrace,
 }
 
@@ -147,6 +180,21 @@ impl PreparedSequence {
     /// The prepared sequence itself.
     pub fn sequence(&self) -> &TestSequence {
         &self.seq
+    }
+
+    /// The fault-free value of `net` at cycle `u`, read through the
+    /// trace's period mapping; for differential tests. Not part of the
+    /// public API.
+    #[doc(hidden)]
+    pub fn debug_good_value(&self, u: usize, net: NetId) -> Logic3 {
+        assert!(u < self.trace.len(), "cycle {u} past the sequence");
+        self.trace.value(self.trace.row(u), net.index())
+    }
+
+    /// The cycles the fault-free sweep recorded: the sequence length,
+    /// or fewer when the state repeated at the period first.
+    pub fn recorded_rows(&self) -> usize {
+        self.trace.rows()
     }
 }
 
@@ -388,27 +436,6 @@ fn debug_fault_ff<W: Word>(l: &Lanes<W>, global: usize) -> Option<Vec<Logic3>> {
     None
 }
 
-/// Per-worker scratch: one net-plane buffer plus the dirty-set bookkeeping,
-/// allocated once per worker and reused across every batch and cycle it
-/// processes.
-struct Scratch<W> {
-    nets: Vec<Planes<W>>,
-    dirty: DirtyScratch,
-    /// Per-cycle effective injection masks, used only by batches whose
-    /// schedule carries conditional (transition-delay) injections.
-    buf: MaskBuf<W>,
-}
-
-impl<W: Word> Scratch<W> {
-    fn new(cc: &CompiledCircuit) -> Scratch<W> {
-        Scratch {
-            nets: vec![Planes::ALL_X; cc.num_nets],
-            dirty: DirtyScratch::new(cc),
-            buf: MaskBuf::new(),
-        }
-    }
-}
-
 /// A shared, pre-lowered circuit: the one-time `CompiledCircuit`
 /// lowering behind an `Arc`, decoupled from any particular [`FaultSim`]
 /// instance or circuit borrow.
@@ -629,7 +656,10 @@ impl<'c> FaultSim<'c> {
     ///
     /// `prev0` holds the fault-free net values entering the sequence —
     /// the launch half of a cycle-0 transition-delay activation; `None`
-    /// is the all-`X` start.
+    /// is the all-`X` start. `period` turns on the compiled kernel's
+    /// retirement of machines whose state repeats at the input period;
+    /// only runs from the reset state pass it, and the reference kernel
+    /// ignores it and simulates every cycle.
     #[allow(clippy::too_many_arguments)]
     fn run_one<W: Word>(
         &self,
@@ -639,13 +669,14 @@ impl<'c> FaultSim<'c> {
         seq: &TestSequence,
         trace: &GoodTrace,
         prev0: Option<&[Logic3]>,
+        period: Option<usize>,
         ff: &mut [Planes<W>],
         scratch: &mut Scratch<W>,
         mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
     ) -> (W, BatchStats) {
         let cancel = &self.cancel;
         let armed = cancel.is_armed();
-        let sink = |u: usize, ctx: &CycleCtx<W>| {
+        let mut sink = |u: usize, ctx: &CycleCtx<W>| {
             if armed {
                 cancel.charge_fault_cycles(ctx.live.count_ones() as u64);
             }
@@ -664,9 +695,8 @@ impl<'c> FaultSim<'c> {
                 trace,
                 prev0,
                 ff,
-                &mut scratch.nets,
-                &mut scratch.buf,
-                sink,
+                scratch,
+                &mut sink,
             )
         } else {
             wbist_telemetry::failpoint::panic_if_armed("sim.batch_kernel");
@@ -677,11 +707,10 @@ impl<'c> FaultSim<'c> {
                 seq,
                 trace,
                 prev0,
+                period,
                 ff,
-                &mut scratch.nets,
-                &mut scratch.dirty,
-                &mut scratch.buf,
-                sink,
+                scratch,
+                &mut sink,
             )
         }
     }
@@ -857,6 +886,7 @@ impl<'c> FaultSim<'c> {
                         seq,
                         trace,
                         prev0,
+                        None,
                         &mut ff_run,
                         scratch,
                         |_, ctx: &CycleCtx<W>| {
@@ -924,6 +954,7 @@ impl<'c> FaultSim<'c> {
         &self,
         faults: &FaultList,
         seq: &TestSequence,
+        period: Option<usize>,
         trace: &GoodTrace,
     ) -> Vec<Option<usize>> {
         let num_dffs = self.circuit.num_dffs();
@@ -942,6 +973,7 @@ impl<'c> FaultSim<'c> {
                         seq,
                         trace,
                         None,
+                        period,
                         &mut ff,
                         scratch,
                         |u, ctx: &CycleCtx<W>| {
@@ -978,6 +1010,7 @@ impl<'c> FaultSim<'c> {
         &self,
         faults: &FaultList,
         seq: &TestSequence,
+        period: Option<usize>,
         trace: &GoodTrace,
     ) -> bool {
         let num_dffs = self.circuit.num_dffs();
@@ -999,6 +1032,7 @@ impl<'c> FaultSim<'c> {
                     seq,
                     trace,
                     None,
+                    period,
                     &mut ff,
                     scratch,
                     |_, ctx: &CycleCtx<W>| {
@@ -1036,23 +1070,36 @@ impl<'c> FaultSim<'c> {
     pub fn prepare_sequences(&self, seqs: &[TestSequence]) -> Vec<PreparedSequence> {
         let mut out = Vec::with_capacity(seqs.len());
         for chunk in seqs.chunks(SWEEP_LANES) {
-            let lanes: Vec<&TestSequence> = chunk.iter().collect();
-            for seq in &lanes {
-                self.check_width(seq);
-            }
-            self.record_sweep(lanes.len());
-            let traces = self.compiled.good_traces(&lanes);
-            out.extend(
-                chunk
-                    .iter()
-                    .zip(traces)
-                    .map(|(seq, trace)| PreparedSequence {
-                        seq: seq.clone(),
-                        trace,
-                    }),
-            );
+            let lanes: Vec<(&TestSequence, Option<usize>)> = chunk
+                .iter()
+                .map(|seq| {
+                    self.check_width(seq);
+                    (seq, seq.period())
+                })
+                .collect();
+            let traces = self.periodic_traces(&lanes);
+            out.extend(lanes.into_iter().zip(traces).map(|((seq, period), trace)| {
+                PreparedSequence {
+                    seq: seq.clone(),
+                    period,
+                    trace,
+                }
+            }));
         }
         out
+    }
+
+    /// The traces of one sweep's sequences from the all-`X` start, each
+    /// stopping once its state repeats at its period. Under the
+    /// reference kernel every trace runs full length, so the oracle
+    /// shares none of the early stop.
+    fn periodic_traces(&self, lanes: &[(&TestSequence, Option<usize>)]) -> Vec<GoodTrace> {
+        self.record_sweep(lanes.len());
+        if self.options.reference_kernel {
+            let full: Vec<_> = lanes.iter().map(|&(seq, _)| (seq, None)).collect();
+            return self.compiled.good_traces(&full);
+        }
+        self.compiled.good_traces(lanes)
     }
 
     /// Observability engine behind [`Query::observable_lines`]: for
@@ -1064,6 +1111,7 @@ impl<'c> FaultSim<'c> {
         &self,
         faults: &FaultList,
         seq: &TestSequence,
+        period: Option<usize>,
         trace: &GoodTrace,
     ) -> Vec<Vec<NetId>> {
         let num_dffs = self.circuit.num_dffs();
@@ -1087,11 +1135,15 @@ impl<'c> FaultSim<'c> {
                     seq,
                     trace,
                     None,
+                    period,
                     &mut ff,
                     scratch,
                     |_, ctx: &CycleCtx<W>| {
+                        // A retired machine's planes go stale, but every
+                        // line it can still show was shown in the period
+                        // before its retirement.
                         for &n in ctx.dirty_nets {
-                            acc[n as usize] |= ctx.nets[n as usize].diff_from_good();
+                            acc[n as usize] |= ctx.nets[n as usize].diff_from_good() & ctx.live;
                         }
                         (W::ZERO, false)
                     },
@@ -1193,6 +1245,7 @@ impl<'c> FaultSim<'c> {
                     seq,
                     trace,
                     prev0,
+                    None,
                     &mut ff,
                     scratch,
                     |_, ctx: &CycleCtx<W>| {
@@ -1232,6 +1285,7 @@ impl<'c> FaultSim<'c> {
             .add("sim.gates_evaluated", stats.gates_evaluated);
         self.telemetry.add("sim.gates_skipped", stats.gates_skipped);
         self.telemetry.add("sim.fault_cycles", stats.fault_cycles);
+        self.telemetry.add("sim.faults_retired", stats.retired);
     }
 
     /// Reports one fault-free sweep carrying `lanes` sequences. Effort:
@@ -1302,14 +1356,20 @@ impl<'q, 'c> Query<'q, 'c> {
         self
     }
 
-    /// The sequence and good trace this query runs against.
-    fn resolve(&self) -> (&'q TestSequence, Cow<'q, GoodTrace>) {
+    /// The sequence, its input period and the good trace this query
+    /// runs against.
+    fn resolve(&self) -> (&'q TestSequence, Option<usize>, Cow<'q, GoodTrace>) {
         match (self.prep, self.seq) {
-            (Some(p), _) => (&p.seq, Cow::Borrowed(&p.trace)),
+            (Some(p), _) => (&p.seq, p.period, Cow::Borrowed(&p.trace)),
             (None, Some(s)) => {
                 self.sim.check_width(s);
-                let init = vec![Logic3::X; self.sim.circuit.num_dffs()];
-                (s, Cow::Owned(self.sim.good_trace(s, &init).0))
+                let period = s.period();
+                let mut traces = self.sim.periodic_traces(&[(s, period)]);
+                (
+                    s,
+                    period,
+                    Cow::Owned(traces.pop().expect("one lane in, one trace out")),
+                )
             }
             (None, None) => {
                 panic!("FaultSim query needs a sequence: call .sequence(..) or .prepared(..)")
@@ -1321,9 +1381,9 @@ impl<'q, 'c> Query<'q, 'c> {
     /// paper's `u_det(f)`), or `None` if the sequence does not detect
     /// it.
     pub fn detection_times(self) -> Vec<Option<usize>> {
-        let (seq, trace) = self.resolve();
+        let (seq, period, trace) = self.resolve();
         with_word!(self.sim.options.word_width, W => {
-            self.sim.run_dense::<W>(self.faults, seq, &trace)
+            self.sim.run_dense::<W>(self.faults, seq, period, &trace)
         })
     }
 
@@ -1362,9 +1422,9 @@ impl<'q, 'c> Query<'q, 'c> {
     /// the paper's sample-first speedup; the first worker thread to find
     /// a detection cancels the others through a shared flag.
     pub fn any(self) -> bool {
-        let (seq, trace) = self.resolve();
+        let (seq, period, trace) = self.resolve();
         with_word!(self.sim.options.word_width, W => {
-            self.sim.run_screen::<W>(self.faults, seq, &trace)
+            self.sim.run_screen::<W>(self.faults, seq, period, &trace)
         })
     }
 
@@ -1373,9 +1433,9 @@ impl<'q, 'c> Query<'q, 'c> {
     /// fault-free machine at some time unit. A fault would be detected
     /// by observing any of these lines.
     pub fn observable_lines(self) -> Vec<Vec<NetId>> {
-        let (seq, trace) = self.resolve();
+        let (seq, period, trace) = self.resolve();
         with_word!(self.sim.options.word_width, W => {
-            self.sim.run_lines::<W>(self.faults, seq, &trace)
+            self.sim.run_lines::<W>(self.faults, seq, period, &trace)
         })
     }
 }
@@ -1387,6 +1447,7 @@ impl BatchStats {
         self.gates_evaluated += other.gates_evaluated;
         self.gates_skipped += other.gates_skipped;
         self.fault_cycles += other.fault_cycles;
+        self.retired += other.retired;
     }
 }
 

@@ -175,6 +175,32 @@ impl TestSequence {
     pub fn iter(&self) -> impl Iterator<Item = &[bool]> + '_ {
         self.bits.chunks_exact(self.num_inputs.max(1))
     }
+
+    /// The input period: the smallest `p < len` with
+    /// `row(u) == row(u − p)` for every `u ≥ p`, or `None` when there is
+    /// none. A weighted sequence `T_G` replays each `α_i` on input `i`,
+    /// so its period divides `lcm |α_i|`.
+    ///
+    /// The smallest period is `len` minus the longest proper border of
+    /// the row string, which the KMP failure function finds in
+    /// O(len × inputs).
+    pub fn period(&self) -> Option<usize> {
+        let len = self.len();
+        // border[i]: the longest proper border of rows 0..=i.
+        let mut border = vec![0usize; len];
+        let mut k = 0;
+        for i in 1..len {
+            while k > 0 && self.row(i) != self.row(k) {
+                k = border[k - 1];
+            }
+            if self.row(i) == self.row(k) {
+                k += 1;
+            }
+            border[i] = k;
+        }
+        let p = len - border.last().copied().unwrap_or(0);
+        (p < len).then_some(p)
+    }
 }
 
 impl fmt::Display for TestSequence {
@@ -251,6 +277,26 @@ mod tests {
         let rows: Vec<&str> = text.lines().collect();
         let t2 = TestSequence::parse_rows(&rows).unwrap();
         assert_eq!(t, t2);
+    }
+
+    /// The KMP period equals the smallest `p` found by brute force, on
+    /// every sequence of up to nine rows over a two-letter row alphabet.
+    #[test]
+    fn period_is_the_smallest_repeat_distance() {
+        let brute = |t: &TestSequence| {
+            (1..t.len()).find(|&p| (p..t.len()).all(|u| t.row(u) == t.row(u - p)))
+        };
+        for len in 0..10 {
+            for mask in 0u32..1 << len {
+                let rows: Vec<Vec<bool>> =
+                    (0..len).map(|u| vec![mask >> u & 1 == 1, true]).collect();
+                let t = TestSequence::from_rows(rows).unwrap();
+                assert_eq!(t.period(), brute(&t), "{t}");
+            }
+        }
+        let t = TestSequence::parse_rows(&["01", "10", "11", "01", "10", "11", "01"]).unwrap();
+        assert_eq!(t.period(), Some(3));
+        assert_eq!(TestSequence::new(3).period(), None);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! |                          | fsync but before the atomic rename (simulated  |
 //! |                          | crash at the worst moment)                     |
 //! | `core.checkpoint_read`   | fails a checkpoint load with an `Io` error     |
+//! | `serve.job_arm`          | panics while a `wbist serve` job attempt arms  |
+//! |                          | its budget token                               |
 //! | `serve.job_run`          | panics a `wbist serve` job body                |
 //! | `netlist.bench_parse`    | fails a `.bench` parse with a `Parse` error    |
 

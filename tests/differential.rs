@@ -1,13 +1,18 @@
 //! Differential proptests over the fault-model-generic query surface:
 //! for every fault model, the compiled dirty-set kernel, the reference
 //! full-walk kernel and the serial scalar oracle must agree on
-//! arbitrary circuits and sequences, one-shot and incrementally.
+//! arbitrary circuits and sequences, one-shot and incrementally — and
+//! on periodic sequences, where the compiled kernel retires machines
+//! whose state repeats and the fault-free sweep stops early.
 
 use proptest::prelude::*;
 use wbist::atpg::Lfsr;
 use wbist::circuits::{wide_fanin, SyntheticSpec};
-use wbist::netlist::{FaultModel, FaultUniverse};
-use wbist::sim::{FaultSim, SerialFaultSim, SimOptions, WordWidth};
+use wbist::core::{Subsequence, WeightAssignment};
+use wbist::netlist::{FaultModel, FaultUniverse, NetId};
+use wbist::sim::{
+    FaultSim, LogicSim, SerialFaultSim, SimOptions, Telemetry, TestSequence, WordWidth,
+};
 
 /// Every plane width beyond the default `u64` this build can simulate.
 fn wide_widths() -> Vec<WordWidth> {
@@ -207,4 +212,154 @@ proptest! {
             }
         }
     }
+}
+
+/// The two kinds of periodic sequence the paper's generator produces,
+/// `len` rows over `inputs` inputs: a random block of `period` rows
+/// repeated, and the `T_G` of a weight assignment whose subsequence
+/// lengths divide `period` (input 0 carries a full `period`).
+fn periodic_sequences(inputs: usize, period: usize, len: usize, seed: u64) -> [TestSequence; 2] {
+    let block = Lfsr::new(20, (seed % 9000) as u32 + 3).sequence(inputs, period);
+    let mut repeated = TestSequence::new(inputs);
+    for u in 0..len {
+        repeated.push_row(block.row(u % period));
+    }
+    let divisors: Vec<usize> = (1..=period).filter(|&d| period.is_multiple_of(d)).collect();
+    let subs = (0..inputs)
+        .map(|i| {
+            let l = if i == 0 {
+                period
+            } else {
+                divisors[(seed as usize + i) % divisors.len()]
+            };
+            Subsequence::new((0..l).map(|k| block.value(k, (i + k) % inputs)).collect())
+        })
+        .collect();
+    [repeated, WeightAssignment::new(subs).generate(len)]
+}
+
+/// Every `(width, threads)` pair the periodic-sequence tests run.
+fn width_thread_grid() -> Vec<(WordWidth, usize)> {
+    std::iter::once(WordWidth::W64)
+        .chain(wide_widths())
+        .flat_map(|w| [(w, 1), (w, 2)])
+        .collect()
+}
+
+proptest! {
+    /// On periodic sequences, where the compiled kernel retires
+    /// machines whose state repeats at the input period, every one-shot
+    /// query still equals the full-length oracles: detection times,
+    /// detected flags and `any` the serial scalar simulator, observable
+    /// lines the reference kernel. `sim.fault_cycles`, which retirement
+    /// shortens, is the same at every width and thread count.
+    #[test]
+    fn periodic_sequences_equal_full_length_oracles(
+        seed in any::<u64>(),
+        period in 1usize..9,
+        len in 16usize..49,
+    ) {
+        let c = SyntheticSpec::new("difp", 5, 3, 4, 30, seed % 16).build();
+        let serial = SerialFaultSim::new(&c);
+        let reference = FaultSim::with_options(&c, SimOptions::with_threads(1).reference_kernel(true));
+        for seq in periodic_sequences(5, period, len, seed) {
+            prop_assert!(seq.period().is_some_and(|p| period % p == 0));
+            for model in FaultModel::ALL {
+                let faults = FaultUniverse::enumerate(model, &c);
+                let want: Vec<Option<usize>> =
+                    faults.faults().iter().map(|&f| serial.detection_time(f, &seq)).collect();
+                let lines = reference.query(&faults).sequence(&seq).observable_lines();
+                let mut fault_cycles = None;
+                for (width, threads) in width_thread_grid() {
+                    let tel = Telemetry::enabled();
+                    let sim = FaultSim::with_options(
+                        &c,
+                        SimOptions::with_threads(threads).word_width(width),
+                    )
+                    .telemetry(tel.clone());
+                    let label = format!("{model:?} period {period} at {width:?}, {threads} threads");
+                    let prep = &sim.prepare_sequences(std::slice::from_ref(&seq))[0];
+                    prop_assert_eq!(
+                        sim.query(&faults).prepared(prep).detection_times(),
+                        want.clone(),
+                        "prepared times, {}", label
+                    );
+                    let spent = tel.counter("sim.fault_cycles");
+                    prop_assert_eq!(*fault_cycles.get_or_insert(spent), spent, "{}", label);
+                    let detected: Vec<bool> = want.iter().map(Option::is_some).collect();
+                    prop_assert_eq!(sim.query(&faults).sequence(&seq).detected(), detected, "{}", label);
+                    prop_assert_eq!(
+                        sim.query(&faults).sequence(&seq).any(),
+                        want.iter().any(Option::is_some),
+                        "{}", label
+                    );
+                    prop_assert_eq!(
+                        sim.query(&faults).prepared(prep).observable_lines(),
+                        lines.clone(),
+                        "{}", label
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every lane of a sweep over periodic sequences of mixed periods
+    /// and lengths — lanes that stop recording once their state repeats
+    /// and lanes that never repeat — reads the `LogicSim` value of every
+    /// net at every cycle of its sequence.
+    #[test]
+    fn early_stopped_sweeps_equal_logic_sim(
+        seed in any::<u64>(),
+        periods in prop::collection::vec(1usize..9, 6..7),
+        lens in prop::collection::vec(1usize..49, 6..7),
+    ) {
+        let c = SyntheticSpec::new("difs", 5, 3, 4, 30, seed % 16).build();
+        let seqs: Vec<TestSequence> = periods
+            .iter()
+            .zip(&lens)
+            .enumerate()
+            .map(|(l, (&p, &len))| periodic_sequences(5, p, len, seed ^ l as u64)[l % 2].clone())
+            .collect();
+        let sim = FaultSim::with_options(&c, SimOptions::with_threads(1));
+        let logic = LogicSim::new(&c);
+        for (seq, prep) in seqs.iter().zip(sim.prepare_sequences(&seqs)) {
+            let trace = logic.trace(seq).unwrap();
+            for u in 0..seq.len() {
+                for n in 0..c.num_nets() {
+                    let net = NetId::from_index(n);
+                    prop_assert_eq!(prep.debug_good_value(u, net), trace.value(u, net), "net {} at {}", n, u);
+                }
+            }
+        }
+    }
+}
+
+/// The periodic-sequence properties are not vacuous: over a few seeds,
+/// sweeps stop early, and retirement fires under both fault models.
+#[test]
+fn periodic_sequences_stop_sweeps_and_retire_faults() {
+    let mut stopped = 0;
+    let mut retired = [0u64; 2];
+    for seed in 0..8u64 {
+        let c = SyntheticSpec::new("difp", 5, 3, 4, 30, seed).build();
+        let seqs: Vec<TestSequence> = (1..9)
+            .flat_map(|p| periodic_sequences(5, p, 48, seed))
+            .collect();
+        for (m, model) in FaultModel::ALL.into_iter().enumerate() {
+            let tel = Telemetry::enabled();
+            let sim =
+                FaultSim::with_options(&c, SimOptions::with_threads(1)).telemetry(tel.clone());
+            let faults = FaultUniverse::enumerate(model, &c);
+            for prep in sim.prepare_sequences(&seqs) {
+                stopped += usize::from(prep.recorded_rows() < prep.sequence().len());
+                sim.query(&faults).prepared(&prep).detection_times();
+            }
+            retired[m] += tel.counter("sim.faults_retired");
+        }
+    }
+    assert!(stopped > 0, "no sweep stopped early");
+    assert!(
+        retired.iter().all(|&r| r > 0),
+        "retired per model: {retired:?}"
+    );
 }

@@ -142,10 +142,16 @@ fn s1196_checkpoints_are_portable_across_widths() {
             ..SynthesisConfig::default()
         }
     };
+    // The uncut run's budget spend: half of it cuts the run wherever
+    // the simulator's cost lands.
+    let token = CancelToken::for_budget(&Budget::default().fault_cycles(u64::MAX / 2));
+    let mut measured = at(WordWidth::W64);
+    measured.run = measured.run.cancel(token.clone());
     let full = Synthesis::new(&c, &t, &faults)
-        .config(at(WordWidth::W64))
+        .config(measured)
         .already_detected(&pre)
         .run();
+    let budget = token.fault_cycles_spent() / 2;
     let dir = scratch_dir("interrupt-resume-word-width");
     for (cut_ww, resume_ww) in [
         (WordWidth::W128, WordWidth::W64),
@@ -157,7 +163,7 @@ fn s1196_checkpoints_are_portable_across_widths() {
             .already_detected(&pre)
             .run_controlled(
                 &RunControl::default()
-                    .budget(Budget::default().fault_cycles(16_000))
+                    .budget(Budget::default().fault_cycles(budget))
                     .checkpoint(&ckpt),
             );
         assert!(cut.is_truncated(), "the budget must cut the run");

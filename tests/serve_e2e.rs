@@ -103,6 +103,9 @@ fn submit_synth(server: &Server, id: &str, tenant: &str, circuit: &str) {
 fn evicted_job_resumes_bit_identically() {
     let _guard = failpoints_serialized();
     let ref_dir = common::scratch_dir("serve-evict-ref");
+    // A checkpoint left by an earlier run would make the reference a
+    // resumed run too.
+    std::fs::remove_file(ref_dir.join("job-a.ckpt")).ok();
     let (ref_server, _, ref_workers) = server_with(ServeConfig {
         ckpt_dir: Some(ref_dir),
         ..ServeConfig::default()
@@ -171,6 +174,7 @@ fn evicted_job_resumes_bit_identically() {
 fn shutdown_drains_to_checkpoint_and_a_restart_resumes() {
     let _guard = failpoints_serialized();
     let ref_dir = common::scratch_dir("serve-drain-ref");
+    std::fs::remove_file(ref_dir.join("job-r.ckpt")).ok();
     let (ref_server, _, ref_workers) = server_with(ServeConfig {
         ckpt_dir: Some(ref_dir),
         ..ServeConfig::default()
@@ -316,6 +320,49 @@ fn panicking_job_retries_and_succeeds() {
     assert_eq!(tel.counter("serve.jobs_retried"), 1);
     assert_eq!(tel.counter("serve.jobs_done"), 1);
     assert!(buf.text().contains(r#""state":"retried""#));
+}
+
+/// Chaos: a panic while an attempt arms its budget token is isolated
+/// like a body panic. One panic is retried and the job completes; a
+/// storm fails the job; and the worker survives both, so the next job
+/// runs to `done` on the daemon's only worker.
+#[cfg(feature = "failpoints")]
+#[test]
+fn panic_while_arming_retries_or_fails_the_job() {
+    use wbist::telemetry::failpoint;
+    let _guard = failpoints_serialized();
+    let tel = Telemetry::enabled();
+    let (server, _, workers) = server_with(ServeConfig {
+        telemetry: tel.clone(),
+        workers: 1,
+        retry_max: 1,
+        retry_backoff_ms: 1,
+        ..ServeConfig::default()
+    });
+    must(&server, r#"{"op":"register","name":"c","builtin":"s27"}"#);
+    failpoint::arm("serve.job_arm", 1);
+    submit_synth(&server, "flaky", "t", "c");
+    let snapshot = wait_for(&server, "flaky", "done", LONG);
+    assert_eq!(snapshot.get("retries").and_then(Json::as_u64), Some(1));
+    failpoint::arm("serve.job_arm", 100);
+    submit_synth(&server, "doomed", "t", "c");
+    let snapshot = wait_for(&server, "doomed", "failed", LONG);
+    failpoint::reset();
+    assert!(
+        snapshot
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("panicked"),
+        "{}",
+        snapshot.render()
+    );
+    submit_synth(&server, "after", "t", "c");
+    wait_for(&server, "after", "done", LONG);
+    server.finish(workers);
+    assert_eq!(tel.counter("serve.job_panics"), 3);
+    assert_eq!(tel.counter("serve.jobs_done"), 2);
+    assert_eq!(tel.counter("serve.jobs_failed"), 1);
 }
 
 /// Chaos: a panic storm exhausting the retry budget lands the job in

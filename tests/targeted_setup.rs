@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use wbist::atpg::Lfsr;
 use wbist::circuits::SyntheticSpec;
 use wbist::core::{
-    Budget, Checkpoint, RunControl, RunOptions, Synthesis, SynthesisConfig, Telemetry,
+    Budget, CancelToken, Checkpoint, RunControl, RunOptions, Synthesis, SynthesisConfig, Telemetry,
 };
 use wbist::netlist::{FaultModel, FaultUniverse};
 use wbist::sim::FaultSim;
@@ -37,7 +37,7 @@ proptest! {
         lg in 16usize..40,
         pre_seed in any::<u64>(),
         pre_share in 0u8..4,
-        budget in 200u64..4_000,
+        cut_eighths in 1u64..8,
     ) {
         let c = SyntheticSpec::new("setup", inputs, 2, dffs, 2 * dffs + extra, seed).build();
         let model = if transition {
@@ -61,11 +61,17 @@ proptest! {
         let dir = scratch_dir("targeted-setup");
         let tag = format!("{seed:x}-{transition}");
         let full_ckpt = dir.join(format!("full-{tag}.ckpt"));
+        // The uncut run's budget spend: a fraction of it cuts the run
+        // wherever the simulator's cost lands.
+        let spend = CancelToken::for_budget(&Budget::default().fault_cycles(u64::MAX / 2));
+        let mut full_cfg = cfg(&full_tel);
+        full_cfg.run = full_cfg.run.cancel(spend.clone());
         let full = Synthesis::new(&c, &t, &faults)
-            .config(cfg(&full_tel))
+            .config(full_cfg)
             .already_detected(&pre)
             .run_controlled(&RunControl::default().checkpoint(&full_ckpt))
             .into_result();
+        let budget = spend.fault_cycles_spent() * cut_eighths / 8;
         let by_t = FaultSim::new(&c).query(&faults).sequence(&t).detected();
         let want: Vec<bool> = by_t.iter().zip(&pre).map(|(&d, &p)| d && !p).collect();
         prop_assert_eq!(&full.target, &want);
