@@ -12,12 +12,6 @@
 //!                      collapses to 1 on single-core hosts)
 //!   --thread-sweep     measure the multi-thread rows even when the host
 //!                      has a single core
-//!   --word-widths a,b,c  fault-plane word widths to measure: 64, 128
-//!                      and/or 256 (default 64; 256 needs the `w256`
-//!                      build feature). Detection counts are
-//!                      width-invariant, so `--golden` applies at every
-//!                      width; widths unavailable in this build emit a
-//!                      `skipped_reason` row instead of failing
 //!   --kernel K         simulation kernel: compiled (default) or
 //!                      reference (the full-walk differential oracle)
 //!   --fault-model M    fault model: stuck-at (default) or transition
@@ -49,7 +43,7 @@ use wbist_atpg::Lfsr;
 use wbist_bench::Json;
 use wbist_circuits::synthetic;
 use wbist_netlist::{FaultModel, FaultUniverse};
-use wbist_sim::{Budget, CancelToken, FaultSim, SimOptions, Telemetry, WordWidth};
+use wbist_sim::{Budget, CancelToken, FaultSim, SimOptions, Telemetry};
 
 /// Seed-era (full-circuit-walk kernel) 1-thread seconds at 128 cycles,
 /// recorded before the compiled kernel landed. `speedup_vs_seed` in the
@@ -71,6 +65,22 @@ const GOLDEN_DETECTED_128: &[(FaultModel, &str, u64)] = &[
     (FaultModel::TransitionDelay, "s5378", 4905),
 ];
 
+/// Options that take a value, and boolean flags; anything else on the
+/// command line is a usage error, so a retired option is refused rather
+/// than silently ignored.
+const OPTIONS: &[&str] = &[
+    "--circuits",
+    "--cycles",
+    "--threads",
+    "--kernel",
+    "--fault-model",
+    "--reps",
+    "--max-wall-secs",
+    "--max-fault-cycles",
+    "-o",
+];
+const FLAGS: &[&str] = &["--thread-sweep", "--golden"];
+
 fn parse_list(s: &str) -> Vec<String> {
     s.split(',')
         .map(str::trim)
@@ -81,6 +91,15 @@ fn parse_list(s: &str) -> Vec<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if OPTIONS.contains(&a.as_str()) {
+            it.next();
+        } else if !FLAGS.contains(&a.as_str()) {
+            eprintln!("sim_bench: unknown argument `{a}`");
+            std::process::exit(1);
+        }
+    }
     // Last occurrence wins so callers (scripts/bench_sim.sh) can supply
     // defaults ahead of user arguments.
     let opt = |key: &str| -> Option<String> {
@@ -165,16 +184,6 @@ fn main() {
             }
         }
     };
-    // Widths unavailable in this build (256 without the `w256` feature)
-    // become `skipped_reason` rows rather than hard errors, so one sweep
-    // invocation works on every build.
-    let word_widths: Vec<(u64, Result<WordWidth, String>)> = match opt("--word-widths") {
-        Some(s) => parse_list(&s)
-            .iter()
-            .map(|w| (w.parse().unwrap_or(0), WordWidth::parse(w)))
-            .collect(),
-        None => vec![(64, Ok(WordWidth::W64))],
-    };
 
     let kernel_name = if reference_kernel {
         "reference"
@@ -196,119 +205,100 @@ fn main() {
             .find(|&&(n, _)| n == name)
             .map(|&(_, s)| s)
             .filter(|_| cycles == 128);
-        for (asked_bits, parsed) in &word_widths {
-            let width = match parsed {
-                Ok(w) => *w,
-                Err(reason) => {
-                    rows.push(Json::obj(vec![
-                        ("circuit", name.as_str().into()),
-                        ("word_width", (*asked_bits).into()),
-                        ("available_cores", cores.into()),
-                        ("skipped_reason", reason.as_str().into()),
-                    ]));
-                    continue;
-                }
-            };
-            let mut baseline_secs = None;
-            for &t in &threads {
-                let options = SimOptions::with_threads(t)
-                    .word_width(width)
-                    .reference_kernel(reference_kernel);
-                let sim = FaultSim::with_options(&circuit, options).cancel(token.clone());
-                // Warm up once, then keep the fastest of `reps` runs — the
-                // usual least-noise estimator for throughput numbers.
-                let detected = sim.query(&faults).sequence(&seq).count();
-                if let Some(reason) = token.cancelled() {
-                    truncated = Some(reason);
-                    break 'measure;
-                }
-                // One untimed instrumented run attributes the work: actual
-                // cycles simulated (early exits included), batches, drops,
-                // live fault-cycles and gate-evaluation effort.
-                let tel = Telemetry::enabled();
-                let attributed = FaultSim::with_options(&circuit, options)
-                    .telemetry(tel.clone())
-                    .cancel(token.clone());
-                std::hint::black_box(attributed.query(&faults).sequence(&seq).count());
-                let secs = (0..reps)
-                    .map(|_| {
-                        let start = Instant::now();
-                        std::hint::black_box(sim.query(&faults).sequence(&seq).count());
-                        start.elapsed().as_secs_f64()
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                // A budget trip mid-measurement leaves this row's timings
-                // describing partial runs; drop the row, keep the earlier
-                // complete ones.
-                if let Some(reason) = token.cancelled() {
-                    truncated = Some(reason);
-                    break 'measure;
-                }
-                let baseline = *baseline_secs.get_or_insert(secs);
-                let work = (faults.len() * cycles) as f64;
-                let live_work = tel.counter("sim.fault_cycles") as f64;
-                eprintln!(
-                "{name}: {} {} faults x {cycles} cycles, {t} thread(s), w{}, {kernel_name}: {:.1} ms ({:.2}x, {:.0} nominal / {:.0} effective fault-cycles/s)",
-                faults.len(),
-                model.name(),
-                width.bits(),
-                secs * 1e3,
-                baseline / secs,
-                work / secs,
-                live_work / secs
-            );
-                if golden {
-                    if let Some(&(_, _, want)) = GOLDEN_DETECTED_128
-                        .iter()
-                        .find(|&&(m, n, _)| m == model && n == name)
-                    {
-                        if cycles == 128 && detected as u64 != want {
-                            eprintln!(
-                            "GOLDEN MISMATCH: {name} detected {detected}, committed value is {want}"
-                        );
-                            golden_failures += 1;
-                        }
+        let mut baseline_secs = None;
+        for &t in &threads {
+            let options = SimOptions::with_threads(t).reference_kernel(reference_kernel);
+            let sim = FaultSim::with_options(&circuit, options).cancel(token.clone());
+            // Warm up once, then keep the fastest of `reps` runs — the
+            // usual least-noise estimator for throughput numbers.
+            let detected = sim.query(&faults).sequence(&seq).count();
+            if let Some(reason) = token.cancelled() {
+                truncated = Some(reason);
+                break 'measure;
+            }
+            // One untimed instrumented run attributes the work: actual
+            // cycles simulated (early exits included), batches, drops,
+            // live fault-cycles and gate-evaluation effort.
+            let tel = Telemetry::enabled();
+            let attributed = FaultSim::with_options(&circuit, options)
+                .telemetry(tel.clone())
+                .cancel(token.clone());
+            std::hint::black_box(attributed.query(&faults).sequence(&seq).count());
+            let secs = (0..reps)
+                .map(|_| {
+                    let start = Instant::now();
+                    std::hint::black_box(sim.query(&faults).sequence(&seq).count());
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            // A budget trip mid-measurement leaves this row's timings
+            // describing partial runs; drop the row, keep the earlier
+            // complete ones.
+            if let Some(reason) = token.cancelled() {
+                truncated = Some(reason);
+                break 'measure;
+            }
+            let baseline = *baseline_secs.get_or_insert(secs);
+            let work = (faults.len() * cycles) as f64;
+            let live_work = tel.counter("sim.fault_cycles") as f64;
+            eprintln!(
+            "{name}: {} {} faults x {cycles} cycles, {t} thread(s), {kernel_name}: {:.1} ms ({:.2}x, {:.0} nominal / {:.0} effective fault-cycles/s)",
+            faults.len(),
+            model.name(),
+            secs * 1e3,
+            baseline / secs,
+            work / secs,
+            live_work / secs
+        );
+            if golden {
+                if let Some(&(_, _, want)) = GOLDEN_DETECTED_128
+                    .iter()
+                    .find(|&&(m, n, _)| m == model && n == name)
+                {
+                    if cycles == 128 && detected as u64 != want {
+                        eprintln!(
+                        "GOLDEN MISMATCH: {name} detected {detected}, committed value is {want}"
+                    );
+                        golden_failures += 1;
                     }
                 }
-                let mut fields = vec![
-                    ("circuit", name.as_str().into()),
-                    ("faults", faults.len().into()),
-                    ("cycles", cycles.into()),
-                    ("threads", t.into()),
-                    ("word_width", u64::from(width.bits()).into()),
-                    ("available_cores", cores.into()),
-                    ("kernel", kernel_name.into()),
-                    ("fault_model", model.name().into()),
-                    ("detected", detected.into()),
-                    ("seconds", secs.into()),
-                    ("fault_cycles_per_sec", (work / secs).into()),
-                    ("effective_fault_cycles_per_sec", (live_work / secs).into()),
-                    ("speedup_vs_1_thread", (baseline / secs).into()),
-                    ("cycles_simulated", tel.counter("sim.cycles").into()),
-                    ("batches", tel.counter("sim.batches").into()),
-                    ("faults_dropped", tel.counter("sim.faults_dropped").into()),
-                    ("gates_evaluated", tel.counter("sim.gates_evaluated").into()),
-                    ("gates_skipped", tel.counter("sim.gates_skipped").into()),
-                ];
-                if let (Some(seed), 1) = (seed_secs, t) {
-                    fields.push(("speedup_vs_seed", (seed / secs).into()));
-                }
-                rows.push(Json::obj(fields));
             }
-            for &t in &skipped_threads {
-                rows.push(Json::obj(vec![
-                    ("circuit", name.as_str().into()),
-                    ("threads", t.into()),
-                    ("word_width", u64::from(width.bits()).into()),
-                    ("available_cores", cores.into()),
-                    (
-                        "skipped_reason",
-                        "single-core host: multi-thread rows measure scheduler overhead, \
-                     not scaling (pass --thread-sweep to force)"
-                            .into(),
-                    ),
-                ]));
+            let mut fields = vec![
+                ("circuit", name.as_str().into()),
+                ("faults", faults.len().into()),
+                ("cycles", cycles.into()),
+                ("threads", t.into()),
+                ("available_cores", cores.into()),
+                ("kernel", kernel_name.into()),
+                ("fault_model", model.name().into()),
+                ("detected", detected.into()),
+                ("seconds", secs.into()),
+                ("fault_cycles_per_sec", (work / secs).into()),
+                ("effective_fault_cycles_per_sec", (live_work / secs).into()),
+                ("speedup_vs_1_thread", (baseline / secs).into()),
+                ("cycles_simulated", tel.counter("sim.cycles").into()),
+                ("batches", tel.counter("sim.batches").into()),
+                ("faults_dropped", tel.counter("sim.faults_dropped").into()),
+                ("gates_evaluated", tel.counter("sim.gates_evaluated").into()),
+                ("gates_skipped", tel.counter("sim.gates_skipped").into()),
+            ];
+            if let (Some(seed), 1) = (seed_secs, t) {
+                fields.push(("speedup_vs_seed", (seed / secs).into()));
             }
+            rows.push(Json::obj(fields));
+        }
+        for &t in &skipped_threads {
+            rows.push(Json::obj(vec![
+                ("circuit", name.as_str().into()),
+                ("threads", t.into()),
+                ("available_cores", cores.into()),
+                (
+                    "skipped_reason",
+                    "single-core host: multi-thread rows measure scheduler overhead, \
+                 not scaling (pass --thread-sweep to force)"
+                        .into(),
+                ),
+            ]));
         }
     }
 

@@ -14,10 +14,6 @@
 //!                      mark the rest already detected (default per
 //!                      circuit: s1196 5, s5378 60, s35932 10)
 //!   --threads N        simulation worker threads (default all cores)
-//!   --word-width W     fault-plane word width: 64 (default), 128 or 256
-//!                      (256 needs the `w256` build feature). The walk
-//!                      is bit-identical at every width, so `--golden`
-//!                      applies unchanged
 //!   --fault-model M    fault model: stuck-at (default) or transition
 //!   --reps N           repetitions per row; the fastest is reported
 //!                      (default 1 — a synthesis run is long enough)
@@ -45,7 +41,6 @@ use wbist_bench::Json;
 use wbist_circuits::synthetic;
 use wbist_core::{RunOptions, Synthesis, SynthesisConfig, SynthesisResult, Telemetry};
 use wbist_netlist::{FaultModel, FaultUniverse};
-use wbist_sim::WordWidth;
 
 /// Default target subsampling per circuit: every `keep_every`-th fault
 /// stays a target. Chosen so a full synthesis walk finishes in seconds
@@ -56,7 +51,7 @@ const DEFAULT_KEEP_EVERY: &[(&str, usize)] = &[("s1196", 5), ("s5378", 60), ("s3
 
 /// Golden Ω sizes and detected-target counts at the default
 /// configuration (`--t-len 48 --lg 64`, default `--keep-every`). The
-/// walk is bit-identical at every worker count and word width, so one
+/// walk is bit-identical at every worker count, so one
 /// committed value per circuit pins them all; `--golden` turns a
 /// deviation into a non-zero exit for CI.
 const GOLDEN_DEFAULT_CONFIG: &[(FaultModel, &str, u64, u64)] = &[
@@ -75,7 +70,6 @@ const OPTIONS: &[&str] = &[
     "--lg",
     "--keep-every",
     "--threads",
-    "--word-width",
     "--fault-model",
     "--reps",
     "-o",
@@ -138,16 +132,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .filter(|&t| t >= 1)
         .unwrap_or(cores);
-    let word_width = match opt("--word-width") {
-        None => WordWidth::W64,
-        Some(s) => match WordWidth::parse(&s) {
-            Ok(w) => w,
-            Err(reason) => {
-                eprintln!("{reason}");
-                std::process::exit(1);
-            }
-        },
-    };
     let default_config = t_len == 48 && lg == 64 && keep_override.is_none();
     if golden && !default_config {
         eprintln!(
@@ -179,8 +163,7 @@ fn main() {
         let mut best: Option<(SynthesisResult, Telemetry, f64)> = None;
         for _ in 0..reps {
             let tel = Telemetry::enabled();
-            let mut run = RunOptions::with_threads(threads).telemetry(tel.clone());
-            run.sim.word_width = word_width;
+            let run = RunOptions::with_threads(threads).telemetry(tel.clone());
             let cfg = SynthesisConfig {
                 sequence_length: lg,
                 run,
@@ -236,7 +219,6 @@ fn main() {
             ("t_len", t_len.into()),
             ("sequence_length", lg.into()),
             ("threads", threads.into()),
-            ("word_width", u64::from(word_width.bits()).into()),
             ("seconds", secs.into()),
             ("candidates_tried", tried.into()),
             ("candidates_per_sec", (tried as f64 / secs).into()),

@@ -358,6 +358,38 @@ mod tests {
         assert!(row.fsm_out <= row.subs);
     }
 
+    /// The guarantee check can say no: dropping from the pruned `Ω` the
+    /// only entry that detects some target fault turns it off.
+    #[test]
+    fn coverage_check_reports_a_lost_target() {
+        let run = run_named("s27", &PipelineConfig::fast()).expect("s27 exists");
+        assert!(table6_row(&run).coverage_guaranteed);
+        let sim = FaultSim::new(&run.circuit);
+        let per_entry: Vec<Vec<bool>> = run
+            .pruned
+            .iter()
+            .map(|sel| {
+                sim.query(&run.faults)
+                    .sequence(&sel.sequence(run.synthesis.sequence_length))
+                    .detected()
+            })
+            .collect();
+        let only_detector = |f: usize| {
+            let mut hits = (0..per_entry.len()).filter(|&i| per_entry[i][f]);
+            match (hits.next(), hits.next()) {
+                (Some(i), None) => Some(i),
+                _ => None,
+            }
+        };
+        let sole = (0..run.faults.len())
+            .filter(|&f| run.synthesis.target[f])
+            .find_map(only_detector)
+            .expect("some target is detected by one Ω entry only");
+        let mut mutated = run.clone();
+        mutated.pruned.remove(sole);
+        assert!(!table6_row(&mutated).coverage_guaranteed);
+    }
+
     #[test]
     fn table6_formatting() {
         let run = run_named("s27", &PipelineConfig::fast()).expect("s27 exists");

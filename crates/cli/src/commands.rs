@@ -14,7 +14,7 @@ use wbist_netlist::{bench_format, circuit_stats, Circuit, FaultList, FaultModel,
 use wbist_serve::ServeConfig;
 use wbist_sim::{
     Budget, CancelToken, FaultSim, RunOptions, SimOptions, Telemetry, TestSequence,
-    TruncationReason, WordWidth,
+    TruncationReason,
 };
 
 /// Top-level usage text.
@@ -42,9 +42,6 @@ pub const USAGE: &str = "usage:
       (exit 2 when resumable work was left behind)
   global options (any command):
       --threads N     simulator worker threads (default: all cores)
-      --word-width W  fault-plane word width: 64 (default) | 128 | 256
-                      (256 needs the `w256` build feature); detections
-                      are bit-identical at every width
   fault selection (faults, atpg, sim, synth, obs, session, podem):
       --model M       fault universe: checkpoints (default) | collapsed | all
       --fault-model F fault model: stuck-at (default) | transition
@@ -127,7 +124,6 @@ pub struct Globals {
 fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> {
     let mut rest = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut word_width = WordWidth::default();
     let mut reference_kernel = false;
     let mut trace: Option<String> = None;
     let mut progress = false;
@@ -146,12 +142,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
                     return Err(usage("--threads must be at least 1"));
                 }
                 threads = Some(n);
-            }
-            "--word-width" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--word-width needs a value"))?;
-                word_width = WordWidth::parse(v).map_err(usage)?;
             }
             "--kernel" => {
                 let v = it.next().ok_or_else(|| usage("--kernel needs a value"))?;
@@ -230,7 +220,6 @@ fn extract_globals(argv: &[String]) -> Result<(Vec<String>, Globals), CliError> 
     let run = RunOptions {
         sim: SimOptions {
             threads,
-            word_width,
             reference_kernel,
         },
         ..run
@@ -274,7 +263,7 @@ pub fn dispatch(argv: &[String]) -> Result<CmdStatus, CliError> {
     let status = match cmd.as_str() {
         "stats" => cmd_stats(rest).map(|()| CmdStatus::Complete),
         "faults" => cmd_faults(rest).map(|()| CmdStatus::Complete),
-        "atpg" => cmd_atpg(rest).map(|()| CmdStatus::Complete),
+        "atpg" => cmd_atpg(rest, &g).map(|()| CmdStatus::Complete),
         "sim" => cmd_sim(rest, &g).map(|()| CmdStatus::Complete),
         "synth" => cmd_synth(rest, &g),
         "obs" => cmd_obs(rest, &g).map(|()| CmdStatus::Complete),
@@ -389,7 +378,7 @@ fn cmd_faults(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_atpg(argv: &[String]) -> Result<(), CliError> {
+fn cmd_atpg(argv: &[String], g: &Globals) -> Result<(), CliError> {
     let p = parse_cmd(
         "atpg",
         argv,
@@ -407,10 +396,15 @@ fn cmd_atpg(argv: &[String]) -> Result<(), CliError> {
     if let Some(ml) = p.opt_parse::<usize>("max-len").map_err(usage)? {
         cfg.max_len = ml;
     }
-    let result = SequenceAtpg::new(&c, cfg).run(&faults);
+    let tel = &g.run.telemetry;
+    let result = {
+        let _span = tel.span("atpg.generate");
+        SequenceAtpg::new(&c, cfg).run(&faults)
+    };
     let seq = if p.flag("no-compact") {
         result.sequence.clone()
     } else {
+        let _span = tel.span("atpg.compact");
         compact(&c, &faults, &result.sequence, &CompactionConfig::default())
     };
     eprintln!(
@@ -987,59 +981,6 @@ mod tests {
         assert!(traces[0].contains("\"synthesis\""));
         assert!(traces[0].contains("\"prune\""));
         assert!(traces[0].contains("hw.gates"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bad_word_width_is_rejected() {
-        for bad in ["32", "0", "sixty-four"] {
-            let e = dispatch(&argv(&["sim", "x.bench", "y.txt", "--word-width", bad]));
-            match e {
-                Err(CliError::Usage(msg)) => assert!(msg.contains("word width"), "{msg}"),
-                other => panic!("--word-width {bad}: expected usage error, got {other:?}"),
-            }
-        }
-        #[cfg(not(feature = "w256"))]
-        {
-            let e = dispatch(&argv(&["sim", "x.bench", "y.txt", "--word-width", "256"]));
-            match e {
-                Err(CliError::Usage(msg)) => assert!(msg.contains("w256"), "{msg}"),
-                other => panic!("expected usage error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn word_width_changes_only_the_width_event_in_the_trace() {
-        let dir = std::env::temp_dir().join(format!("wbist-width-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tempdir");
-        let bench = dir.join("s27.bench");
-        dispatch(&argv(&["gen", "s27", "-o", bench.to_str().expect("utf8")])).expect("gen");
-        let mut traces = Vec::new();
-        for width in ["64", "128"] {
-            let out = dir.join(format!("trace{width}.json"));
-            dispatch(&argv(&[
-                "synth",
-                bench.to_str().expect("utf8"),
-                "--lg",
-                "64",
-                "--word-width",
-                width,
-                "--trace",
-                out.to_str().expect("utf8"),
-            ]))
-            .expect("synth with trace");
-            traces.push(std::fs::read_to_string(&out).expect("trace written"));
-        }
-        assert!(traces[1].contains("sim.word_width"));
-        // The width is recorded as provenance; everything else in the
-        // deterministic trace — detections, Ω, every counter — must be
-        // byte-identical across widths.
-        let normalized = traces[1].replace("\"bits\": 128", "\"bits\": 64");
-        assert_eq!(
-            traces[0], normalized,
-            "trace must be width-invariant apart from the sim.word_width event"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -64,6 +64,7 @@ pub use obs::{observation_point_tradeoff, ObsOptions, ObsRow, ObsTradeoff};
 pub use prune::{reverse_order_prune, PruneOptions};
 pub use runctl::{
     config_hash, Checkpoint, CheckpointError, Cursor, Outcome, RunControl, CHECKPOINT_SCHEMA,
+    COUNTER_SCHEMA,
 };
 pub use select::{
     synthesize_weighted_bist, SelectedAssignment, Synthesis, SynthesisConfig, SynthesisResult,

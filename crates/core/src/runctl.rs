@@ -31,9 +31,10 @@
 //!    disabled, because its cost is already inside the restored values).
 //!
 //! Checkpoints are validated against a [`config_hash`] of the circuit,
-//! the deterministic sequence, the fault list and every knob that affects
-//! the run, so a checkpoint can never silently resume a *different*
-//! synthesis.
+//! the deterministic sequence, the fault list, every knob that affects
+//! the run and the [`COUNTER_SCHEMA`] of the build, so a checkpoint can
+//! never silently resume a *different* synthesis, nor mix the counters
+//! of two builds that count differently.
 
 use std::fmt;
 use std::io::{self, Write as _};
@@ -510,18 +511,40 @@ fn integrity_hash(doc: &Json) -> u64 {
     h.finish()
 }
 
+/// Version of the rules the deterministic telemetry counters follow.
+///
+/// A checkpoint carries its counters and a resume restores them
+/// verbatim, so resuming a checkpoint written by a build that counted
+/// differently would mix two accountings in one "deterministic" trace.
+/// The schema is folded into [`config_hash`], which turns such a resume
+/// into [`CheckpointError::ConfigMismatch`]. Bump it whenever a change
+/// alters what any counter in a checkpoint counts.
+pub const COUNTER_SCHEMA: u64 = 1;
+
 /// FNV-1a over everything that shapes a synthesis run: circuit
 /// structure, deterministic sequence bits, fault list, `L_G`, sampling
-/// and ordering knobs, and the seed. Two runs with equal hashes walk the
-/// selection loop identically, so a checkpoint from one resumes the
-/// other.
+/// and ordering knobs, the seed, and the build's [`COUNTER_SCHEMA`].
+/// Two runs with equal hashes walk the selection loop identically and
+/// count it alike, so a checkpoint from one resumes the other.
 pub fn config_hash(
     circuit: &Circuit,
     t: &TestSequence,
     faults: &FaultList,
     cfg: &SynthesisConfig,
 ) -> u64 {
+    config_hash_under(COUNTER_SCHEMA, circuit, t, faults, cfg)
+}
+
+/// [`config_hash`] as a build with counter schema `schema` computes it.
+fn config_hash_under(
+    schema: u64,
+    circuit: &Circuit,
+    t: &TestSequence,
+    faults: &FaultList,
+    cfg: &SynthesisConfig,
+) -> u64 {
     let mut h = Fnv::new();
+    h.int(schema);
     h.text(circuit.name());
     h.int(circuit.num_nets() as u64);
     h.int(circuit.num_inputs() as u64);
@@ -812,6 +835,50 @@ mod tests {
         assert_ne!(base, config_hash(&c, &t, &faults, &reseeded));
         let fewer = FaultList::from_faults(faults.faults()[..faults.len() - 1].to_vec());
         assert_ne!(base, config_hash(&c, &t, &fewer, &cfg));
+    }
+
+    /// A checkpoint written by a build with another counter schema is
+    /// refused with the typed mismatch, never resumed with mixed counters.
+    #[test]
+    fn checkpoint_from_another_counter_schema_is_a_config_mismatch() {
+        use crate::select::Synthesis;
+        use wbist_circuits::s27;
+        let c = s27::circuit();
+        let t = s27::paper_test_sequence();
+        let faults = FaultList::checkpoints(&c);
+        let cfg = SynthesisConfig {
+            sequence_length: 100,
+            ..SynthesisConfig::default()
+        };
+        let path =
+            std::env::temp_dir().join(format!("wbist-counter-schema-{}.ckpt", std::process::id()));
+        Synthesis::new(&c, &t, &faults)
+            .config(cfg.clone())
+            .run_controlled(&RunControl::default().checkpoint(&path));
+        let ckpt = Checkpoint::load(&path).expect("checkpoint written");
+        std::fs::remove_file(&path).ok();
+        // The stored hash is this build's, reproduced here; the same
+        // run under the previous schema hashes differently.
+        let no_flags = vec![false; faults.len()];
+        let under =
+            |schema| fold_flags(config_hash_under(schema, &c, &t, &faults, &cfg), &no_flags);
+        assert_eq!(ckpt.config_hash, under(COUNTER_SCHEMA));
+        let mut stale = ckpt.clone();
+        stale.config_hash = under(COUNTER_SCHEMA - 1);
+        let resume = |ck: Checkpoint| {
+            Synthesis::new(&c, &t, &faults)
+                .config(cfg.clone())
+                .resume_from(ck)
+                .map(|_| ())
+        };
+        match resume(stale.clone()) {
+            Err(CheckpointError::ConfigMismatch { expected, found }) => {
+                assert_eq!(expected, ckpt.config_hash);
+                assert_eq!(found, stale.config_hash);
+            }
+            other => panic!("expected ConfigMismatch, got {other:?}"),
+        }
+        assert!(resume(ckpt).is_ok(), "this build's checkpoint resumes");
     }
 
     #[test]

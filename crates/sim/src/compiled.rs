@@ -59,9 +59,8 @@
 //! exactness argument is in the `fault` module docs).
 
 use crate::logic::Logic3;
-use crate::plane::Planes;
+use crate::plane::{Planes, FAULTS_PER_BATCH};
 use crate::sequence::TestSequence;
-use crate::word::Word;
 use wbist_netlist::{Circuit, Driver, Fault, FaultSite, GateKind};
 
 /// Which flat [`Schedule`] array a conditional injection overlays.
@@ -84,7 +83,7 @@ pub(crate) enum InjSlot {
 /// stores every cycle, so both the launch and the capture value are one
 /// indexed read away; stuck-at faults never allocate an entry here.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CondInj<W> {
+pub(crate) struct CondInj {
     /// Which array the effect masks OR into.
     pub(crate) slot: InjSlot,
     /// Index of the target entry in that array (post-sort).
@@ -94,7 +93,7 @@ pub(crate) struct CondInj<W> {
     /// Destination value of the slow transition.
     pub(crate) slow_to: bool,
     /// Machine bit of the fault.
-    pub(crate) bit: W,
+    pub(crate) bit: u64,
 }
 
 /// Load codes in the fanout CSR: values `< num_gates` are consuming
@@ -630,17 +629,15 @@ impl GoodTrace {
     }
 
     /// The fault-free value of net `n` in recorded row `r`, broadcast to
-    /// all machine bit positions of the requested lane width. The trace
-    /// itself is packed one bit per net regardless of the batch width —
-    /// only this broadcast is width-dependent.
+    /// all 64 machine bit positions.
     #[inline]
-    pub(crate) fn planes<W: Word>(&self, r: usize, n: usize) -> Planes<W> {
+    pub(crate) fn planes(&self, r: usize, n: usize) -> Planes {
         // A four-entry table on the ones bit (bit 0) and the zeros bit
         // (bit 1), without a branch; both bits set reads as 1.
         let w = r * self.words + n / 64;
         let one = self.ones[w] >> (n % 64) & 1;
         let zero = self.zeros[w] >> (n % 64) & 1;
-        Planes::<W>::BY_CODE[(one | zero << 1) as usize]
+        Planes::BY_CODE[(one | zero << 1) as usize]
     }
 
     /// The fault-free value of net `n` in recorded row `r` as a scalar.
@@ -664,40 +661,36 @@ impl GoodTrace {
 /// `GateId`), so both kernels can merge them into their topo-order
 /// stepping loop with monotone cursors.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Schedule<W> {
+pub(crate) struct Schedule {
     /// Stem injections on primary inputs: (PI index, net, f1, f0).
-    pub(crate) src_pi: Vec<(u32, u32, W, W)>,
+    pub(crate) src_pi: Vec<(u32, u32, u64, u64)>,
     /// Stem injections on DFF outputs: (DFF index, net, f1, f0).
-    pub(crate) src_dff: Vec<(u32, u32, W, W)>,
+    pub(crate) src_dff: Vec<(u32, u32, u64, u64)>,
     /// Stem injections on constant nets: (net, value, f1, f0).
-    pub(crate) src_const: Vec<(u32, bool, W, W)>,
+    pub(crate) src_const: Vec<(u32, bool, u64, u64)>,
     /// Stem injections on gate outputs: (topo position, f1, f0), sorted.
-    pub(crate) gate_stems: Vec<(u32, W, W)>,
+    pub(crate) gate_stems: Vec<(u32, u64, u64)>,
     /// Gate-pin injections: (topo position, pin, f1, f0), sorted.
-    pub(crate) pins: Vec<(u32, u32, W, W)>,
+    pub(crate) pins: Vec<(u32, u32, u64, u64)>,
     /// DFF-data injections: (DFF index, f1, f0), sorted.
-    pub(crate) dffs: Vec<(u32, W, W)>,
+    pub(crate) dffs: Vec<(u32, u64, u64)>,
     /// Conditional (activation-gated) injections, overlaid per cycle.
     /// Empty for pure stuck-at batches — the static arrays above are
     /// then used directly, with zero per-cycle cost.
-    pub(crate) cond: Vec<CondInj<W>>,
+    pub(crate) cond: Vec<CondInj>,
 }
 
-impl<W: Word> Schedule<W> {
-    /// Builds the schedule for one chunk of up to `W::BITS - 1` indexed
-    /// faults; fault `k` of the chunk occupies machine bit `k + 1`.
-    pub(crate) fn build(
-        c: &Circuit,
-        cc: &CompiledCircuit,
-        faults: &[(usize, Fault)],
-    ) -> Schedule<W> {
-        debug_assert!(faults.len() < W::BITS as usize);
+impl Schedule {
+    /// Builds the schedule for one chunk of up to [`FAULTS_PER_BATCH`]
+    /// indexed faults; fault `k` of the chunk occupies machine bit `k + 1`.
+    pub(crate) fn build(c: &Circuit, cc: &CompiledCircuit, faults: &[(usize, Fault)]) -> Schedule {
+        debug_assert!(faults.len() <= FAULTS_PER_BATCH);
         let mut sched = Schedule::default();
         // (slot, key1, key2, watch, slow_to, bit): resolved to array
         // indices after the sorts below.
-        let mut cond_raw: Vec<(InjSlot, u32, u32, u32, bool, W)> = Vec::new();
+        let mut cond_raw: Vec<(InjSlot, u32, u32, u32, bool, u64)> = Vec::new();
         for (k, &(_, f)) in faults.iter().enumerate() {
-            let bit = W::bit(k + 1);
+            let bit = 1u64 << (k + 1);
             // A stuck-at fault contributes its masks statically; a
             // transition-delay fault contributes a zero-mask entry plus a
             // conditional component that ORs the effect in on activation
@@ -706,9 +699,9 @@ impl<W: Word> Schedule<W> {
             let (f1, f0, cond) = match f {
                 Fault::StuckAt { stuck, .. } => {
                     if stuck {
-                        (bit, W::ZERO, None)
+                        (bit, 0, None)
                     } else {
-                        (W::ZERO, bit, None)
+                        (0, bit, None)
                     }
                 }
                 Fault::TransitionDelay { site, slow_to } => {
@@ -717,7 +710,7 @@ impl<W: Word> Schedule<W> {
                         FaultSite::GatePin { gate, pin } => c.gate(gate).inputs[pin].index() as u32,
                         FaultSite::DffData(k) => cc.dff_d[k],
                     };
-                    (W::ZERO, W::ZERO, Some((watch, slow_to)))
+                    (0, 0, Some((watch, slow_to)))
                 }
             };
             match f.site() {
@@ -807,7 +800,7 @@ impl<W: Word> Schedule<W> {
 
     /// The schedule's injection arrays as consumed by one cycle, with no
     /// conditional components (valid whenever `cond` is empty).
-    pub(crate) fn static_view(&self) -> CycleInj<'_, W> {
+    pub(crate) fn static_view(&self) -> CycleInj<'_> {
         CycleInj {
             src_pi: &self.src_pi,
             src_dff: &self.src_dff,
@@ -825,13 +818,13 @@ impl<W: Word> Schedule<W> {
 /// are identical either way, so the kernels' monotone cursors are
 /// oblivious to which source they read.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CycleInj<'a, W> {
-    pub(crate) src_pi: &'a [(u32, u32, W, W)],
-    pub(crate) src_dff: &'a [(u32, u32, W, W)],
-    pub(crate) src_const: &'a [(u32, bool, W, W)],
-    pub(crate) gate_stems: &'a [(u32, W, W)],
-    pub(crate) pins: &'a [(u32, u32, W, W)],
-    pub(crate) dffs: &'a [(u32, W, W)],
+pub(crate) struct CycleInj<'a> {
+    pub(crate) src_pi: &'a [(u32, u32, u64, u64)],
+    pub(crate) src_dff: &'a [(u32, u32, u64, u64)],
+    pub(crate) src_const: &'a [(u32, bool, u64, u64)],
+    pub(crate) gate_stems: &'a [(u32, u64, u64)],
+    pub(crate) pins: &'a [(u32, u32, u64, u64)],
+    pub(crate) dffs: &'a [(u32, u64, u64)],
 }
 
 /// Per-worker scratch holding one cycle's effective injection masks when
@@ -839,17 +832,17 @@ pub(crate) struct CycleInj<'a, W> {
 /// cycles and batches (clear + extend), so the steady-state cycle loop
 /// performs no allocation.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MaskBuf<W> {
-    src_pi: Vec<(u32, u32, W, W)>,
-    src_dff: Vec<(u32, u32, W, W)>,
-    src_const: Vec<(u32, bool, W, W)>,
-    gate_stems: Vec<(u32, W, W)>,
-    pins: Vec<(u32, u32, W, W)>,
-    dffs: Vec<(u32, W, W)>,
+pub(crate) struct MaskBuf {
+    src_pi: Vec<(u32, u32, u64, u64)>,
+    src_dff: Vec<(u32, u32, u64, u64)>,
+    src_const: Vec<(u32, bool, u64, u64)>,
+    gate_stems: Vec<(u32, u64, u64)>,
+    pins: Vec<(u32, u32, u64, u64)>,
+    dffs: Vec<(u32, u64, u64)>,
 }
 
-impl<W: Word> MaskBuf<W> {
-    fn new() -> MaskBuf<W> {
+impl MaskBuf {
+    fn new() -> MaskBuf {
         MaskBuf::default()
     }
 
@@ -861,7 +854,7 @@ impl<W: Word> MaskBuf<W> {
     /// start, which never launches).
     fn refresh(
         &mut self,
-        sched: &Schedule<W>,
+        sched: &Schedule,
         trace: &GoodTrace,
         u: usize,
         r: usize,
@@ -894,11 +887,7 @@ impl<W: Word> MaskBuf<W> {
             if cur == ci.slow_to.into() && prev == (!ci.slow_to).into() {
                 // The slow site still shows the old value in the capture
                 // cycle: slow-to-rise forces 0, slow-to-fall forces 1.
-                let (a1, a0) = if ci.slow_to {
-                    (W::ZERO, ci.bit)
-                } else {
-                    (ci.bit, W::ZERO)
-                };
+                let (a1, a0) = if ci.slow_to { (0, ci.bit) } else { (ci.bit, 0) };
                 let i = ci.idx as usize;
                 match ci.slot {
                     InjSlot::SrcPi => {
@@ -930,7 +919,7 @@ impl<W: Word> MaskBuf<W> {
         }
     }
 
-    fn view(&self) -> CycleInj<'_, W> {
+    fn view(&self) -> CycleInj<'_> {
         CycleInj {
             src_pi: &self.src_pi,
             src_dff: &self.src_dff,
@@ -942,7 +931,7 @@ impl<W: Word> MaskBuf<W> {
     }
 }
 
-fn merge3<W: Word>(v: &mut Vec<(u32, W, W)>, key: u32, f1: W, f0: W) {
+fn merge3(v: &mut Vec<(u32, u64, u64)>, key: u32, f1: u64, f0: u64) {
     if let Some(e) = v.iter_mut().find(|(k, _, _)| *k == key) {
         e.1 |= f1;
         e.2 |= f0;
@@ -951,7 +940,7 @@ fn merge3<W: Word>(v: &mut Vec<(u32, W, W)>, key: u32, f1: W, f0: W) {
     }
 }
 
-fn merge_src<W: Word>(v: &mut Vec<(u32, u32, W, W)>, key: u32, net: u32, f1: W, f0: W) {
+fn merge_src(v: &mut Vec<(u32, u32, u64, u64)>, key: u32, net: u32, f1: u64, f0: u64) {
     if let Some(e) = v.iter_mut().find(|(k, _, _, _)| *k == key) {
         e.2 |= f1;
         e.3 |= f0;
@@ -965,19 +954,19 @@ fn merge_src<W: Word>(v: &mut Vec<(u32, u32, W, W)>, key: u32, net: u32, f1: W, 
 /// check, allocated once per worker and reused across every batch and
 /// cycle it processes.
 #[derive(Debug, Clone)]
-pub(crate) struct Scratch<W> {
-    nets: Vec<Planes<W>>,
+pub(crate) struct Scratch {
+    nets: Vec<Planes>,
     dirty: DirtyScratch,
     /// Per-cycle effective injection masks, used only by batches whose
     /// schedule carries conditional (transition-delay) injections.
-    buf: MaskBuf<W>,
+    buf: MaskBuf,
     /// The dirty flip-flops and their planes entering the last multiple
     /// of the period, ascending; used only by runs given a period.
-    snap: Vec<(u32, Planes<W>)>,
+    snap: Vec<(u32, Planes)>,
 }
 
-impl<W: Word> Scratch<W> {
-    pub(crate) fn new(cc: &CompiledCircuit) -> Scratch<W> {
+impl Scratch {
+    pub(crate) fn new(cc: &CompiledCircuit) -> Scratch {
         Scratch {
             nets: vec![Planes::ALL_X; cc.num_nets],
             dirty: DirtyScratch::new(cc),
@@ -1020,17 +1009,17 @@ impl DirtyScratch {
 }
 
 /// What one evaluated cycle exposes to the query-specific sink.
-pub(crate) struct CycleCtx<'a, W> {
+pub(crate) struct CycleCtx<'a> {
     /// Net planes after this cycle's evaluation. Only the nets listed in
     /// `dirty_nets` are current; everything else may be stale — clean
     /// nets carry the fault-free value on all live bits.
-    pub(crate) nets: &'a [Planes<W>],
+    pub(crate) nets: &'a [Planes],
     /// OR of `diff_from_good` over the dirty observed nets (only those
     /// can differ). May carry bits of already-dropped machines; mask
     /// with `live`.
-    pub(crate) obs_diff: W,
+    pub(crate) obs_diff: u64,
     /// Machine bits still carrying live faults.
-    pub(crate) live: W,
+    pub(crate) live: u64,
     /// Nets whose planes differ from the good machine this cycle (the
     /// dirty set; the whole netlist under the reference kernel).
     pub(crate) dirty_nets: &'a [u32],
@@ -1038,7 +1027,7 @@ pub(crate) struct CycleCtx<'a, W> {
 
 /// The per-cycle callback of the batch kernels: given the cycle and its
 /// [`CycleCtx`], the machine bits to drop and whether to stop.
-pub(crate) type Sink<'s, W> = dyn FnMut(usize, &CycleCtx<W>) -> (W, bool) + 's;
+pub(crate) type Sink<'s> = dyn FnMut(usize, &CycleCtx) -> (u64, bool) + 's;
 
 /// Deterministic effort accounting for one batch run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1063,9 +1052,9 @@ pub(crate) struct BatchStats {
 /// and returns `(drop_bits, stop)`: `drop_bits` are removed from the
 /// live mask (shrinking the dirty set), and `stop` ends the run early.
 /// The run also ends when the live mask empties. The sink is a trait
-/// object: it runs once per cycle, and one copy of the kernel per word
-/// width keeps the binary (and a small run's resident code) smaller
-/// than a copy per query type did.
+/// object: it runs once per cycle, and one copy of the kernel keeps the
+/// binary (and a small run's resident code) smaller than a copy per
+/// query type did.
 ///
 /// `ff` holds the batch's persistent flip-flop planes. Planes of
 /// flip-flops that end the run clean are synced to the broadcast good
@@ -1088,23 +1077,23 @@ pub(crate) struct BatchStats {
 /// transition-delay machine also needs the fault-free state at `u − 1`
 /// to repeat, because its launch reads the previous cycle.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch<W: Word>(
+pub(crate) fn run_batch(
     cc: &CompiledCircuit,
-    sched: &Schedule<W>,
-    mut live: W,
+    sched: &Schedule,
+    mut live: u64,
     seq: &TestSequence,
     trace: &GoodTrace,
     prev0: Option<&[Logic3]>,
     period: Option<usize>,
-    ff: &mut [Planes<W>],
-    scratch: &mut Scratch<W>,
-    sink: &mut Sink<'_, W>,
-) -> (W, BatchStats) {
+    ff: &mut [Planes],
+    scratch: &mut Scratch,
+    sink: &mut Sink<'_>,
+) -> (u64, BatchStats) {
     debug_assert_eq!(trace.len(), seq.len());
     debug_assert!(trace.rows() == trace.len() || period == Some(trace.period));
     let has_cond = !sched.cond.is_empty();
     // Machines whose activation reads the previous good cycle.
-    let launch_bits = sched.cond.iter().fold(W::ZERO, |m, c| m | c.bit);
+    let launch_bits = sched.cond.iter().fold(0, |m, c| m | c.bit);
     let mut stats = BatchStats::default();
     let Scratch {
         nets,
@@ -1128,8 +1117,8 @@ pub(crate) fn run_batch<W: Word>(
     dirty_dffs.clear();
     if !seq.is_empty() {
         for (k, f) in ff.iter().enumerate() {
-            let good = trace.planes::<W>(0, cc.dff_q[k] as usize);
-            if !(((f.ones ^ good.ones) | (f.zeros ^ good.zeros)) & (live | W::LSB)).is_zero() {
+            let good = trace.planes(0, cc.dff_q[k] as usize);
+            if (((f.ones ^ good.ones) | (f.zeros ^ good.zeros)) & (live | 1)) != 0 {
                 dff_dirty[k] = true;
                 dirty_dffs.push(k as u32);
             }
@@ -1144,10 +1133,10 @@ pub(crate) fn run_batch<W: Word>(
                 live & !launch_bits
             };
             let repeated = take_period_snapshot(cc, trace, u, eligible, snap, dirty_dffs, ff);
-            if !repeated.is_zero() {
+            if repeated != 0 {
                 live &= !repeated;
                 stats.retired += repeated.count_ones() as u64;
-                if live.is_zero() {
+                if live == 0 {
                     break;
                 }
             }
@@ -1182,7 +1171,7 @@ pub(crate) fn run_batch<W: Word>(
         let row = seq.row(u);
         for &(pi, n, f1, f0) in inj.src_pi {
             let (f1, f0) = (f1 & live, f0 & live);
-            if !(f1 | f0).is_zero() {
+            if (f1 | f0) != 0 {
                 nets[n as usize] = Planes::broadcast(row[pi as usize]).inject(f1, f0);
                 if !dirty[n as usize] {
                     dirty[n as usize] = true;
@@ -1193,7 +1182,7 @@ pub(crate) fn run_batch<W: Word>(
         }
         for &(k, n, f1, f0) in inj.src_dff {
             let (f1, f0) = (f1 & live, f0 & live);
-            if !(f1 | f0).is_zero() {
+            if (f1 | f0) != 0 {
                 let base = if dff_dirty[k as usize] {
                     ff[k as usize]
                 } else {
@@ -1209,7 +1198,7 @@ pub(crate) fn run_batch<W: Word>(
         }
         for &(n, v, f1, f0) in inj.src_const {
             let (f1, f0) = (f1 & live, f0 & live);
-            if !(f1 | f0).is_zero() {
+            if (f1 | f0) != 0 {
                 nets[n as usize] = Planes::broadcast(v).inject(f1, f0);
                 if !dirty[n as usize] {
                     dirty[n as usize] = true;
@@ -1221,12 +1210,12 @@ pub(crate) fn run_batch<W: Word>(
         // Gates carrying live injections run unconditionally — their
         // operands may all be clean.
         for &(pos, f1, f0) in inj.gate_stems {
-            if !((f1 | f0) & live).is_zero() {
+            if ((f1 | f0) & live) != 0 {
                 sched_bits[(pos >> 6) as usize] |= 1 << (pos & 63);
             }
         }
         for &(pos, _, f1, f0) in inj.pins {
-            if !((f1 | f0) & live).is_zero() {
+            if ((f1 | f0) & live) != 0 {
                 sched_bits[(pos >> 6) as usize] |= 1 << (pos & 63);
             }
         }
@@ -1258,8 +1247,8 @@ pub(crate) fn run_batch<W: Word>(
                 });
                 let out = cc.out_nets[pos] as usize;
                 nets[out] = v;
-                let good = trace.planes::<W>(r, out);
-                if !(((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | W::LSB)).is_zero()
+                let good = trace.planes(r, out);
+                if (((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | 1)) != 0
                     && !dirty[out]
                 {
                     dirty[out] = true;
@@ -1271,7 +1260,7 @@ pub(crate) fn run_batch<W: Word>(
         // Next-state examination: flip-flops whose data net went dirty,
         // whose stored planes were dirty, or that carry live injections.
         for &(k, f1, f0) in inj.dffs {
-            if !((f1 | f0) & live).is_zero() {
+            if ((f1 | f0) & live) != 0 {
                 cand_bits[(k >> 6) as usize] |= 1 << (k & 63);
             }
         }
@@ -1296,8 +1285,8 @@ pub(crate) fn run_batch<W: Word>(
                     let (_, f1, f0) = inj.dffs[id];
                     v = v.inject(f1 & live, f0 & live);
                 }
-                let good = trace.planes::<W>(r, d);
-                if !(((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | W::LSB)).is_zero() {
+                let good = trace.planes(r, d);
+                if (((v.ones ^ good.ones) | (v.zeros ^ good.zeros)) & (live | 1)) != 0 {
                     ff[k] = v;
                     dff_dirty[k] = true;
                     dirty_dffs.push(k as u32);
@@ -1307,7 +1296,7 @@ pub(crate) fn run_batch<W: Word>(
             }
         }
         // Detection sites: only dirty observed nets can differ.
-        let mut obs_diff = W::ZERO;
+        let mut obs_diff = 0;
         for &n in dirty_nets.iter() {
             if cc.is_observed[n as usize] {
                 obs_diff |= nets[n as usize].diff_from_good();
@@ -1327,7 +1316,7 @@ pub(crate) fn run_batch<W: Word>(
         }
         dirty_nets.clear();
         live &= !drop;
-        if live.is_zero() || stop {
+        if live == 0 || stop {
             break;
         }
     }
@@ -1355,21 +1344,21 @@ pub(crate) fn run_batch<W: Word>(
 /// both times, so only the two ascending lists are walked: a dirty
 /// flip-flop's planes are `ff`'s now and `snap`'s then, a clean one's
 /// the good value.
-fn take_period_snapshot<W: Word>(
+fn take_period_snapshot(
     cc: &CompiledCircuit,
     trace: &GoodTrace,
     u: usize,
-    eligible: W,
-    snap: &mut Vec<(u32, Planes<W>)>,
+    eligible: u64,
+    snap: &mut Vec<(u32, Planes)>,
     dirty_dffs: &[u32],
-    ff: &[Planes<W>],
-) -> W {
-    let mut moved = W::ALL;
+    ff: &[Planes],
+) -> u64 {
+    let mut moved = !0;
     if u >= trace.rows() {
         let r = trace.row(u);
-        let good = |k: u32| trace.planes::<W>(r, cc.dff_q[k as usize] as usize);
-        let differ = |a: Planes<W>, b: Planes<W>| (a.ones ^ b.ones) | (a.zeros ^ b.zeros);
-        moved = W::ZERO;
+        let good = |k: u32| trace.planes(r, cc.dff_q[k as usize] as usize);
+        let differ = |a: Planes, b: Planes| (a.ones ^ b.ones) | (a.zeros ^ b.zeros);
+        moved = 0;
         let (mut then, mut now) = (snap.iter().peekable(), dirty_dffs.iter().peekable());
         loop {
             match (then.peek(), now.peek()) {
@@ -1420,17 +1409,17 @@ fn mark_loads(cc: &CompiledCircuit, sched_bits: &mut [u64], cand_bits: &mut [u64
 /// and the sink contract with [`run_batch`], so any divergence between
 /// the two kernels is in the dirty-set machinery, not the plumbing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch_reference<W: Word>(
+pub(crate) fn run_batch_reference(
     cc: &CompiledCircuit,
-    sched: &Schedule<W>,
-    mut live: W,
+    sched: &Schedule,
+    mut live: u64,
     seq: &TestSequence,
     trace: &GoodTrace,
     prev0: Option<&[Logic3]>,
-    ff: &mut [Planes<W>],
-    scratch: &mut Scratch<W>,
-    sink: &mut Sink<'_, W>,
-) -> (W, BatchStats) {
+    ff: &mut [Planes],
+    scratch: &mut Scratch,
+    sink: &mut Sink<'_>,
+) -> (u64, BatchStats) {
     debug_assert_eq!(trace.len(), seq.len());
     let has_cond = !sched.cond.is_empty();
     let Scratch { nets, buf, .. } = scratch;
@@ -1488,7 +1477,7 @@ pub(crate) fn run_batch_reference<W: Word>(
             }
             ff[k] = v;
         }
-        let mut obs_diff = W::ZERO;
+        let mut obs_diff = 0;
         for &n in &cc.observed {
             obs_diff |= nets[n as usize].diff_from_good();
         }
@@ -1500,7 +1489,7 @@ pub(crate) fn run_batch_reference<W: Word>(
         };
         let (drop, stop) = sink(u, &ctx);
         live &= !drop;
-        if live.is_zero() || stop {
+        if live == 0 || stop {
             break;
         }
     }
@@ -1514,14 +1503,14 @@ pub(crate) fn run_batch_reference<W: Word>(
 /// array for the reference kernel, the dirty-set/good-trace split for
 /// the compiled kernel.
 #[inline]
-fn eval_gate<W: Word>(
+fn eval_gate(
     cc: &CompiledCircuit,
-    inj: CycleInj<'_, W>,
+    inj: CycleInj<'_>,
     pos: usize,
     is: &mut usize,
     ip: &mut usize,
-    read: impl Fn(u32) -> Planes<W> + Copy,
-) -> Planes<W> {
+    read: impl Fn(u32) -> Planes + Copy,
+) -> Planes {
     while *is < inj.gate_stems.len() && (inj.gate_stems[*is].0 as usize) < pos {
         *is += 1;
     }
@@ -1584,14 +1573,14 @@ fn eval_gate<W: Word>(
 /// from the pin cursor. Only called for the rare gates that carry pin
 /// injections.
 #[inline]
-fn fetch_injected<W: Word>(
-    inj: CycleInj<'_, W>,
+fn fetch_injected(
+    inj: CycleInj<'_>,
     pos: usize,
     pin: usize,
     net: u32,
     ip: usize,
-    read: impl Fn(u32) -> Planes<W>,
-) -> Planes<W> {
+    read: impl Fn(u32) -> Planes,
+) -> Planes {
     let v = read(net);
     let mut i = ip;
     while i < inj.pins.len() && inj.pins[i].0 as usize == pos {
@@ -1609,7 +1598,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultSim, SimOptions};
     use crate::reference::SerialFaultSim;
-    use crate::word::WordWidth;
     use proptest::prelude::*;
     use wbist_circuits::synthetic::{wide_fanin, SyntheticSpec};
     use wbist_netlist::{bench_format, FaultList, FaultModel, FaultUniverse, NetId};
@@ -1692,9 +1680,10 @@ mod tests {
     }
 
     /// The reads of a trace broadcast each two-bit code to every machine
-    /// bit at `W`: neither bit is `X`, one bit is its value, and both
-    /// bits read as 1.
-    fn trace_reads_at<W: Word>() {
+    /// bit: neither bit is `X`, one bit is its value, and both bits read
+    /// as 1.
+    #[test]
+    fn trace_reads_broadcast_the_codes() {
         // Nets 0..4 carry the codes 0..4 in row 0; row 1 is all `X`.
         let trace = GoodTrace {
             num_cycles: 2,
@@ -1712,18 +1701,10 @@ mod tests {
         ];
         let scalar = [Logic3::X, Logic3::One, Logic3::Zero, Logic3::One];
         for n in 0..4 {
-            assert_eq!(trace.planes::<W>(0, n), want[n], "net {n}");
+            assert_eq!(trace.planes(0, n), want[n], "net {n}");
             assert_eq!(trace.value(0, n), scalar[n], "net {n}");
-            assert_eq!(trace.planes::<W>(1, n), Planes::ALL_X, "net {n}, row 1");
+            assert_eq!(trace.planes(1, n), Planes::ALL_X, "net {n}, row 1");
         }
-    }
-
-    #[test]
-    fn trace_reads_hold_at_every_width() {
-        trace_reads_at::<u64>();
-        trace_reads_at::<u128>();
-        #[cfg(feature = "w256")]
-        trace_reads_at::<crate::word::W256>();
     }
 
     #[test]
@@ -1735,19 +1716,12 @@ mod tests {
         let oracle = crate::good::LogicSim::new(&c).trace(&seq).unwrap();
         for u in 0..seq.len() {
             for n in 0..c.num_nets() {
-                let expect: Planes<u64> = match oracle.value(u, NetId::from_index(n)) {
+                let expect = match oracle.value(u, NetId::from_index(n)) {
                     Logic3::One => Planes::ALL_ONE,
                     Logic3::Zero => Planes::ALL_ZERO,
                     Logic3::X => Planes::ALL_X,
                 };
-                assert_eq!(trace.planes::<u64>(u, n), expect, "net {n} at {u}");
-                // The wide broadcasts agree with the u64 one bit-for-bit
-                // on the overlapping lanes.
-                assert_eq!(
-                    trace.planes::<u128>(u, n).limbs().0[0],
-                    expect.ones,
-                    "u128 broadcast, net {n} at {u}"
-                );
+                assert_eq!(trace.planes(u, n), expect, "net {n} at {u}");
             }
         }
         let oracle_ff = crate::good::LogicSim::new(&c).final_state(&seq).unwrap();
@@ -2043,8 +2017,8 @@ mod tests {
         assert!(cover.xor_saw_x, "no XOR/XNOR gate saw an X operand");
     }
 
-    /// Detection times of the compiled kernel at 64- and 128-bit lanes
-    /// and 1 or 2 threads, compared fault by fault with the serial
+    /// Detection times of the compiled kernel at 1 and 2 threads,
+    /// compared fault by fault with the serial
     /// oracle, under both fault models, over every stem, pin and
     /// DFF-data fault. Returns the stuck-at times, stem and pin faults
     /// first (`FaultUniverse::enumerate` order), then DFF-data faults
@@ -2064,13 +2038,12 @@ mod tests {
                 .iter()
                 .map(|&f| serial.detection_time(f, seq))
                 .collect();
-            for (width, threads) in [(WordWidth::W64, 1), (WordWidth::W128, 2)] {
-                let opts = SimOptions::with_threads(threads).word_width(width);
-                let got = FaultSim::with_options(c, opts)
+            for threads in [1, 2] {
+                let got = FaultSim::with_options(c, SimOptions::with_threads(threads))
                     .query(&faults)
                     .sequence(seq)
                     .detection_times();
-                assert_eq!(got, want, "{model:?} at {width:?}");
+                assert_eq!(got, want, "{model:?} at {threads} threads");
             }
             if model == FaultModel::StuckAt {
                 stuck_at = want;

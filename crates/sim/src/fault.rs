@@ -1,23 +1,14 @@
-//! Parallel sequential fault simulation, generic over the fault model
-//! and the plane word width.
+//! Parallel sequential fault simulation, generic over the fault model.
 //!
-//! The simulator packs the fault-free machine (bit 0) and up to
-//! `W::BITS − 1` faulty machines into each plane word `W` — 63 at the
-//! default 64-bit width, 127 at 128 bits, 255 at the feature-gated
-//! 256-bit lane (the crate-private `word` module). A three-valued
-//! signal is held as two
-//! bit-planes `(ones, zeros)` per net (the `plane` module): bit `b` of
-//! `ones` set means machine `b` sees logic 1, bit `b` of `zeros` means
-//! logic 0, and neither means `X`. Gate evaluation is plain boolean
-//! algebra on the planes, so all machines advance in lock-step through
-//! the levelized combinational core, cycle by cycle, each with its own
-//! flip-flop state. The width is chosen once per simulator
-//! ([`SimOptions::word_width`]) and dispatched to monomorphized engines
-//! at each public entry point; detections, detection times and the
-//! deterministic counters are width-invariant (a fault's charge ends
-//! when it drops, wherever it was batched), while batch partitioning —
-//! and therefore `sim.batches` and the gate-evaluation figures — tracks
-//! the width.
+//! The simulator packs the fault-free machine (bit 0) and up to 63
+//! faulty machines into each `u64` plane word. A three-valued signal is
+//! held as two bit-planes `(ones, zeros)` per net (the `plane` module):
+//! bit `b` of `ones` set means machine `b` sees logic 1, bit `b` of
+//! `zeros` means logic 0, and neither means `X`. Gate evaluation is
+//! plain boolean algebra on the planes, so all machines advance in
+//! lock-step through the levelized combinational core, cycle by cycle,
+//! each with its own flip-flop state. A fault list is cut into batches
+//! of 63 in list order.
 //!
 //! Faults are injected by forcing plane bits: a stem fault forces the net's
 //! planes after its driver is evaluated; a gate-pin fault forces the value
@@ -76,7 +67,7 @@
 //! retires only once the fault-free state at `u − 1` has repeated too.
 //! The decision depends on the machine and the query alone, so
 //! detections, detection times and `sim.fault_cycles` stay invariant
-//! across word widths and thread counts. The fault-free sweep stops
+//! across thread counts. The fault-free sweep stops
 //! recording a sequence at the same kind of repeat, and later reads map
 //! back by whole periods. [`FaultSim::advance`] and
 //! [`FaultSim::sample_detects`] continue from carried states with rows
@@ -103,12 +94,11 @@ use crate::compiled::{
 };
 use crate::error::SimError;
 use crate::logic::Logic3;
-use crate::plane::Planes;
+use crate::plane::{Planes, FAULTS_PER_BATCH};
 use crate::pool;
 use crate::run::RunOptions;
 use crate::runctl::CancelToken;
 use crate::sequence::TestSequence;
-use crate::word::{with_word, Word, WordWidth};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,11 +117,6 @@ pub struct SimOptions {
     /// compiled cone-restricted one. Slower by design; kept as the
     /// differential-testing oracle (detection results are identical).
     pub reference_kernel: bool,
-    /// Plane word width: each batch carries `width − 1` faulty machines,
-    /// so wider lanes mean fewer batches for the same fault list.
-    /// Detections and every deterministic counter except the batch
-    /// partition figures are width-invariant. Default: 64-bit.
-    pub word_width: WordWidth,
 }
 
 impl SimOptions {
@@ -147,12 +132,6 @@ impl SimOptions {
     /// full-walk kernel, `false` the compiled kernel.
     pub fn reference_kernel(mut self, on: bool) -> SimOptions {
         self.reference_kernel = on;
-        self
-    }
-
-    /// Selects the plane word width (builder style).
-    pub fn word_width(mut self, width: WordWidth) -> SimOptions {
-        self.word_width = width;
         self
     }
 }
@@ -198,35 +177,35 @@ impl PreparedSequence {
     }
 }
 
-/// One batch of up to `W::BITS − 1` faults sharing a simulation word:
+/// One batch of up to 63 faults sharing a simulation word:
 /// the immutable [`BatchPlan`] behind an `Arc`, so cloning a
 /// [`FaultSimState`] copies only the live mask, never the schedule.
 #[derive(Debug, Clone)]
-struct Batch<W> {
-    plan: Arc<BatchPlan<W>>,
+struct Batch {
+    plan: Arc<BatchPlan>,
     /// Mask of bits that carry live (not yet detected) faults.
-    live: W,
+    live: u64,
 }
 
 /// The part of a [`Batch`] fixed at build time.
 #[derive(Debug)]
-struct BatchPlan<W> {
+struct BatchPlan {
     /// Global fault indices; fault `k` of the batch occupies bit `k + 1`.
     fault_indices: Vec<usize>,
     /// Global fault index → its bit mask, sorted by index (the inverse
     /// of `fault_indices`, for O(log n) membership checks).
-    bit_index: Vec<(usize, W)>,
+    bit_index: Vec<(usize, u64)>,
     /// The batch's injections, flattened into topo-sorted arrays.
-    sched: compiled::Schedule<W>,
+    sched: compiled::Schedule,
 }
 
-impl<W: Word> Batch<W> {
-    fn build(circuit: &Circuit, cc: &CompiledCircuit, faults: &[(usize, Fault)]) -> Batch<W> {
-        debug_assert!(faults.len() < W::BITS as usize);
-        let mut live = W::ZERO;
+impl Batch {
+    fn build(circuit: &Circuit, cc: &CompiledCircuit, faults: &[(usize, Fault)]) -> Batch {
+        debug_assert!(faults.len() <= FAULTS_PER_BATCH);
+        let mut live = 0;
         let mut bit_index = Vec::with_capacity(faults.len());
         for (k, &(gi, _)) in faults.iter().enumerate() {
-            let bit = W::bit(k + 1);
+            let bit = 1u64 << (k + 1);
             bit_index.push((gi, bit));
             live |= bit;
         }
@@ -243,72 +222,12 @@ impl<W: Word> Batch<W> {
     }
 
     /// Bit mask (bit 1 up) of a global fault index within this batch.
-    fn bit_of(&self, global: usize) -> Option<W> {
+    fn bit_of(&self, global: usize) -> Option<u64> {
         let index = &self.plan.bit_index;
         index
             .binary_search_by_key(&global, |&(gi, _)| gi)
             .ok()
             .map(|i| index[i].1)
-    }
-}
-
-/// The width-specific half of a [`FaultSimState`]: the fault batches
-/// and their flip-flop planes at one concrete lane type.
-#[derive(Debug, Clone)]
-struct Lanes<W> {
-    batches: Vec<Batch<W>>,
-    /// Flip-flop planes per batch.
-    ff: Vec<Vec<Planes<W>>>,
-}
-
-/// [`Lanes`] with the width erased, so [`FaultSimState`] stays a plain
-/// (non-generic) public type. Built at the width the originating
-/// simulator was configured with; every state-consuming entry point
-/// dispatches on the variant, so a state outlives the options that
-/// created it (incremental states are width-portable by construction).
-#[derive(Debug, Clone)]
-enum LaneState {
-    W64(Lanes<u64>),
-    W128(Lanes<u128>),
-    #[cfg(feature = "w256")]
-    W256(Lanes<crate::word::W256>),
-}
-
-/// Expands `$body` with `$l` bound to the concrete-width [`Lanes`] of a
-/// [`LaneState`] — the state-side counterpart of `with_word!`.
-macro_rules! with_lanes {
-    ($lanes:expr, $l:ident => $body:expr) => {
-        match $lanes {
-            LaneState::W64($l) => $body,
-            LaneState::W128($l) => $body,
-            #[cfg(feature = "w256")]
-            LaneState::W256($l) => $body,
-        }
-    };
-}
-
-/// The lane types [`FaultSim`] dispatches to: plane words that can wrap
-/// their [`Lanes`] into the width-erased [`LaneState`].
-trait SimWord: Word {
-    fn wrap(lanes: Lanes<Self>) -> LaneState;
-}
-
-impl SimWord for u64 {
-    fn wrap(lanes: Lanes<u64>) -> LaneState {
-        LaneState::W64(lanes)
-    }
-}
-
-impl SimWord for u128 {
-    fn wrap(lanes: Lanes<u128>) -> LaneState {
-        LaneState::W128(lanes)
-    }
-}
-
-#[cfg(feature = "w256")]
-impl SimWord for crate::word::W256 {
-    fn wrap(lanes: Lanes<crate::word::W256>) -> LaneState {
-        LaneState::W256(lanes)
     }
 }
 
@@ -318,9 +237,9 @@ impl SimWord for crate::word::W256 {
 /// state. The state is tied to the fault list it was created from.
 #[derive(Debug, Clone)]
 pub struct FaultSimState {
-    /// Batches and flip-flop planes, at the width the originating
-    /// simulator was configured with.
-    lanes: LaneState,
+    batches: Vec<Batch>,
+    /// Flip-flop planes per batch.
+    ff: Vec<Vec<Planes>>,
     /// Scalar fault-free flip-flop state, advanced alongside the
     /// batches; the compiled kernel seeds each query's good trace from
     /// it.
@@ -361,79 +280,55 @@ impl FaultSimState {
     pub fn clone_bytes(&self) -> usize {
         use std::mem::size_of;
         let nets = self.prev_nets.as_ref().map_or(0, Vec::len);
-        with_lanes!(&self.lanes, l => lane_bytes(l))
+        let planes: usize = self.ff.iter().map(Vec::len).sum();
+        self.batches.len() * (size_of::<Batch>() + size_of::<Vec<Planes>>())
+            + planes * size_of::<Planes>()
             + (self.good_ff.len() + nets) * size_of::<Logic3>()
             + self.detected.len() * size_of::<bool>()
     }
 
     /// Raw per-batch flip-flop planes for differential tests: one entry
-    /// per batch of `(live-or-good mask, per-DFF (ones, zeros))`, each
-    /// word exported as little-endian `u64` limbs so the surface is
-    /// width-erased (upper limbs are zero for narrow lanes). Planes are
-    /// only meaningful on the masked bits — the compiled kernel stops
-    /// maintaining dropped machines. Not part of the public API.
+    /// per batch of `(live-or-good mask, per-DFF (ones, zeros))`. Planes
+    /// are only meaningful on the masked bits — the compiled kernel
+    /// stops maintaining dropped machines. Not part of the public API.
     #[doc(hidden)]
-    #[allow(clippy::type_complexity)]
-    pub fn debug_ff_planes(&self) -> Vec<([u64; 4], Vec<([u64; 4], [u64; 4])>)> {
-        with_lanes!(&self.lanes, l => debug_planes(l))
+    pub fn debug_ff_planes(&self) -> Vec<(u64, Vec<(u64, u64)>)> {
+        self.batches
+            .iter()
+            .zip(&self.ff)
+            .map(|(b, ff)| (b.live | 1, ff.iter().map(|p| (p.ones, p.zeros)).collect()))
+            .collect()
     }
 
     /// The per-DFF three-valued state of one fault's machine, or `None`
-    /// once the fault has dropped (its planes go stale). Batch-layout
-    /// independent, so differential tests can compare machines across
-    /// word widths, where partitioning differs. Not part of the public
+    /// once the fault has dropped (its planes go stale). Independent of
+    /// the batch layout, so differential tests can compare machines
+    /// across states built from different runs. Not part of the public
     /// API.
     #[doc(hidden)]
     pub fn debug_fault_ff(&self, global: usize) -> Option<Vec<Logic3>> {
-        with_lanes!(&self.lanes, l => debug_fault_ff(l, global))
-    }
-}
-
-/// The per-clone heap bytes of a [`Lanes`]: batch headers and flip-flop
-/// planes (the plans behind the batches' `Arc`s are shared).
-fn lane_bytes<W: Word>(l: &Lanes<W>) -> usize {
-    use std::mem::size_of;
-    let planes: usize = l.ff.iter().map(Vec::len).sum();
-    l.batches.len() * (size_of::<Batch<W>>() + size_of::<Vec<Planes<W>>>())
-        + planes * size_of::<Planes<W>>()
-}
-
-/// Width-erased export behind [`FaultSimState::debug_ff_planes`].
-#[allow(clippy::type_complexity)]
-fn debug_planes<W: Word>(l: &Lanes<W>) -> Vec<([u64; 4], Vec<([u64; 4], [u64; 4])>)> {
-    l.batches
-        .iter()
-        .zip(&l.ff)
-        .map(|(b, ff)| {
-            let planes = ff.iter().map(|p| p.limbs()).collect();
-            ((b.live | W::LSB).limbs(), planes)
-        })
-        .collect()
-}
-
-/// Per-fault machine readout behind [`FaultSimState::debug_fault_ff`].
-fn debug_fault_ff<W: Word>(l: &Lanes<W>, global: usize) -> Option<Vec<Logic3>> {
-    for (b, ff) in l.batches.iter().zip(&l.ff) {
-        if let Some(bit) = b.bit_of(global) {
-            if (b.live & bit).is_zero() {
-                return None;
-            }
-            return Some(
-                ff.iter()
-                    .map(|p| {
-                        if !(p.ones & bit).is_zero() {
-                            Logic3::One
-                        } else if !(p.zeros & bit).is_zero() {
-                            Logic3::Zero
-                        } else {
-                            Logic3::X
-                        }
-                    })
-                    .collect(),
-            );
+        let (b, ff, bit) = self
+            .batches
+            .iter()
+            .zip(&self.ff)
+            .find_map(|(b, ff)| Some((b, ff, b.bit_of(global)?)))?;
+        if b.live & bit == 0 {
+            return None;
         }
+        Some(
+            ff.iter()
+                .map(|p| {
+                    if p.ones & bit != 0 {
+                        Logic3::One
+                    } else if p.zeros & bit != 0 {
+                        Logic3::Zero
+                    } else {
+                        Logic3::X
+                    }
+                })
+                .collect(),
+        )
     }
-    None
 }
 
 /// A shared, pre-lowered circuit: the one-time `CompiledCircuit`
@@ -591,10 +486,6 @@ impl<'c> FaultSim<'c> {
     /// faults dropped, batches — through it; see the crate docs of
     /// `wbist-telemetry` for which counters are deterministic.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        telemetry.event(
-            "sim.word_width",
-            &[("bits", self.options.word_width.bits() as u64)],
-        );
         self.telemetry = telemetry;
         self
     }
@@ -632,10 +523,10 @@ impl<'c> FaultSim<'c> {
         );
     }
 
-    fn make_batches<W: Word>(&self, faults: &FaultList) -> Vec<Batch<W>> {
+    fn make_batches(&self, faults: &FaultList) -> Vec<Batch> {
         let indexed: Vec<(usize, Fault)> = faults.iter().copied().enumerate().collect();
         indexed
-            .chunks(W::BITS as usize - 1)
+            .chunks(FAULTS_PER_BATCH)
             .map(|chunk| Batch::build(self.circuit, &self.compiled, chunk))
             .collect()
     }
@@ -661,22 +552,22 @@ impl<'c> FaultSim<'c> {
     /// only runs from the reset state pass it, and the reference kernel
     /// ignores it and simulates every cycle.
     #[allow(clippy::too_many_arguments)]
-    fn run_one<W: Word>(
+    fn run_one(
         &self,
         reference: bool,
-        sched: &compiled::Schedule<W>,
-        live: W,
+        sched: &compiled::Schedule,
+        live: u64,
         seq: &TestSequence,
         trace: &GoodTrace,
         prev0: Option<&[Logic3]>,
         period: Option<usize>,
-        ff: &mut [Planes<W>],
-        scratch: &mut Scratch<W>,
-        mut sink: impl FnMut(usize, &CycleCtx<W>) -> (W, bool),
-    ) -> (W, BatchStats) {
+        ff: &mut [Planes],
+        scratch: &mut Scratch,
+        mut sink: impl FnMut(usize, &CycleCtx) -> (u64, bool),
+    ) -> (u64, BatchStats) {
         let cancel = &self.cancel;
         let armed = cancel.is_armed();
-        let mut sink = |u: usize, ctx: &CycleCtx<W>| {
+        let mut sink = |u: usize, ctx: &CycleCtx| {
             if armed {
                 cancel.charge_fault_cycles(ctx.live.count_ones() as u64);
             }
@@ -730,11 +621,11 @@ impl<'c> FaultSim<'c> {
     /// the primary) re-raises as a [`SimError::BatchPanicked`]-formatted
     /// panic: at that point both kernels are broken and there is nothing
     /// safer left to run.
-    fn run_isolated<W: Word, R>(
+    fn run_isolated<R>(
         &self,
         batch_index: usize,
-        scratch: &mut Scratch<W>,
-        attempt: impl Fn(bool, &mut Scratch<W>) -> R,
+        scratch: &mut Scratch,
+        attempt: impl Fn(bool, &mut Scratch) -> R,
     ) -> R {
         let reference = self.options.reference_kernel;
         match catch_unwind(AssertUnwindSafe(|| attempt(reference, &mut *scratch))) {
@@ -782,11 +673,11 @@ impl<'c> FaultSim<'c> {
     /// returned in item order, so callers observe a deterministic merge
     /// no matter how the items were scheduled; the dispatch figures land
     /// in the effort-space `pool.tasks` / `pool.steals` counters.
-    fn scatter<W: Word, I, R, F>(&self, items: Vec<I>, work: F) -> Vec<R>
+    fn scatter<I, R, F>(&self, items: Vec<I>, work: F) -> Vec<R>
     where
         I: Send,
         R: Send,
-        F: Fn(I, &mut Scratch<W>) -> R + Sync,
+        F: Fn(I, &mut Scratch) -> R + Sync,
     {
         let threads = self.thread_count(items.len());
         let (results, stats) = pool::scatter(threads, items, || Scratch::new(&self.compiled), work);
@@ -798,12 +689,16 @@ impl<'c> FaultSim<'c> {
     }
 
     /// Starts an incremental simulation of `faults` from the all-`X`
-    /// state, batched at the simulator's configured word width.
+    /// state.
     pub fn begin(&self, faults: &FaultList) -> FaultSimState {
-        let lanes =
-            with_word!(self.options.word_width, W => W::wrap(self.begin_lanes::<W>(faults)));
+        let batches = self.make_batches(faults);
+        let ff = batches
+            .iter()
+            .map(|_| vec![Planes::ALL_X; self.circuit.num_dffs()])
+            .collect();
         FaultSimState {
-            lanes,
+            batches,
+            ff,
             good_ff: vec![Logic3::X; self.circuit.num_dffs()],
             detected: vec![false; faults.len()],
             elapsed: 0,
@@ -811,15 +706,6 @@ impl<'c> FaultSim<'c> {
                 .has_model(FaultModel::TransitionDelay)
                 .then(|| vec![Logic3::X; self.circuit.num_nets()]),
         }
-    }
-
-    fn begin_lanes<W: Word>(&self, faults: &FaultList) -> Lanes<W> {
-        let batches = self.make_batches::<W>(faults);
-        let ff = batches
-            .iter()
-            .map(|_| vec![Planes::ALL_X; self.circuit.num_dffs()])
-            .collect();
-        Lanes { batches, ff }
     }
 
     /// Applies `seq` on top of `state`, updating flip-flop planes and the
@@ -837,37 +723,13 @@ impl<'c> FaultSim<'c> {
         let (trace, next_good) = self.good_trace(seq, &state.good_ff);
         let trace = &trace;
         let prev0 = state.prev_nets.as_deref();
-        let detected = &mut state.detected;
-        let newly = with_lanes!(&mut state.lanes, l => {
-            self.advance_lanes(l, detected, seq, trace, prev0)
-        });
-        state.good_ff = next_good;
-        if !seq.is_empty() {
-            if let Some(prev) = state.prev_nets.as_mut() {
-                for (n, v) in prev.iter_mut().enumerate() {
-                    *v = trace.value(seq.len() - 1, n);
-                }
-            }
-        }
-        state.elapsed += seq.len();
-        newly
-    }
-
-    fn advance_lanes<W: Word>(
-        &self,
-        lanes: &mut Lanes<W>,
-        detected: &mut [bool],
-        seq: &TestSequence,
-        trace: &GoodTrace,
-        prev0: Option<&[Logic3]>,
-    ) -> usize {
-        type AdvanceJob<'a, W> = (usize, &'a mut Batch<W>, &'a mut Vec<Planes<W>>);
-        let jobs: Vec<AdvanceJob<'_, W>> = lanes
+        type AdvanceJob<'a> = (usize, &'a mut Batch, &'a mut Vec<Planes>);
+        let jobs: Vec<AdvanceJob<'_>> = state
             .batches
             .iter_mut()
-            .zip(lanes.ff.iter_mut())
+            .zip(state.ff.iter_mut())
             .enumerate()
-            .filter(|(_, (batch, _))| !batch.live.is_zero())
+            .filter(|(_, (batch, _))| batch.live != 0)
             .map(|(bi, (batch, ff))| (bi, batch, ff))
             .collect();
         let n_jobs = jobs.len();
@@ -889,9 +751,9 @@ impl<'c> FaultSim<'c> {
                         None,
                         &mut ff_run,
                         scratch,
-                        |_, ctx: &CycleCtx<W>| {
+                        |_, ctx: &CycleCtx| {
                             let detected_now = ctx.obs_diff & ctx.live;
-                            if !detected_now.is_zero() {
+                            if detected_now != 0 {
                                 collect_hits(&batch.plan.fault_indices, detected_now, |gi| {
                                     found.push(gi)
                                 });
@@ -912,13 +774,22 @@ impl<'c> FaultSim<'c> {
             stats.merge(batch_stats);
             dropped += batch_hits.len();
             for gi in batch_hits {
-                if !detected[gi] {
-                    detected[gi] = true;
+                if !state.detected[gi] {
+                    state.detected[gi] = true;
                     newly += 1;
                 }
             }
         }
         self.record_run(n_jobs, stats, dropped);
+        state.good_ff = next_good;
+        if !seq.is_empty() {
+            if let Some(prev) = state.prev_nets.as_mut() {
+                for (n, v) in prev.iter_mut().enumerate() {
+                    *v = trace.value(seq.len() - 1, n);
+                }
+            }
+        }
+        state.elapsed += seq.len();
         newly
     }
 
@@ -950,7 +821,7 @@ impl<'c> FaultSim<'c> {
     /// per-fault results: runs every batch from cycle 0 to the end of
     /// the sequence (with fault dropping), returning the first
     /// detection time per fault.
-    fn run_dense<W: Word>(
+    fn run_dense(
         &self,
         faults: &FaultList,
         seq: &TestSequence,
@@ -958,9 +829,9 @@ impl<'c> FaultSim<'c> {
         trace: &GoodTrace,
     ) -> Vec<Option<usize>> {
         let num_dffs = self.circuit.num_dffs();
-        let batches = self.make_batches::<W>(faults);
+        let batches = self.make_batches(faults);
         let n_jobs = batches.len();
-        let jobs: Vec<(usize, Batch<W>)> = batches.into_iter().enumerate().collect();
+        let jobs: Vec<(usize, Batch)> = batches.into_iter().enumerate().collect();
         let per_batch: Vec<(Vec<(usize, usize)>, BatchStats)> =
             self.scatter(jobs, |(bi, batch), scratch| {
                 self.run_isolated(bi, scratch, |reference, scratch| {
@@ -976,9 +847,9 @@ impl<'c> FaultSim<'c> {
                         period,
                         &mut ff,
                         scratch,
-                        |u, ctx: &CycleCtx<W>| {
+                        |u, ctx: &CycleCtx| {
                             let detected_now = ctx.obs_diff & ctx.live;
-                            if !detected_now.is_zero() {
+                            if detected_now != 0 {
                                 collect_hits(&batch.plan.fault_indices, detected_now, |gi| {
                                     found.push((gi, u))
                                 });
@@ -1006,7 +877,7 @@ impl<'c> FaultSim<'c> {
     /// Early-exit screening engine behind [`Query::any`]: stops the
     /// moment any machine differs on an observed net, with worker
     /// threads coordinating through a shared flag.
-    fn run_screen<W: Word>(
+    fn run_screen(
         &self,
         faults: &FaultList,
         seq: &TestSequence,
@@ -1014,8 +885,8 @@ impl<'c> FaultSim<'c> {
         trace: &GoodTrace,
     ) -> bool {
         let num_dffs = self.circuit.num_dffs();
-        let batches = self.make_batches::<W>(faults);
-        let jobs: Vec<(usize, Batch<W>)> = batches.into_iter().enumerate().collect();
+        let batches = self.make_batches(faults);
+        let jobs: Vec<(usize, Batch)> = batches.into_iter().enumerate().collect();
         let found = AtomicBool::new(false);
         let hits: Vec<(bool, usize, usize)> = self.scatter(jobs, |(bi, batch), scratch| {
             if found.load(Ordering::Relaxed) {
@@ -1035,17 +906,17 @@ impl<'c> FaultSim<'c> {
                     period,
                     &mut ff,
                     scratch,
-                    |_, ctx: &CycleCtx<W>| {
+                    |_, ctx: &CycleCtx| {
                         if found.load(Ordering::Relaxed) {
                             cancelled = 1;
-                            return (W::ZERO, true);
+                            return (0, true);
                         }
-                        if !(ctx.obs_diff & ctx.live).is_zero() {
+                        if (ctx.obs_diff & ctx.live) != 0 {
                             hit = true;
                             found.store(true, Ordering::Relaxed);
-                            return (W::ZERO, true);
+                            return (0, true);
                         }
-                        (W::ZERO, false)
+                        (0, false)
                     },
                 );
                 (hit, stats.cycles, cancelled)
@@ -1107,7 +978,7 @@ impl<'c> FaultSim<'c> {
     /// (binary vs. binary) from the fault-free machine at *some* time
     /// unit of `seq` — the paper's observation-point candidate sets
     /// `OP(f)`.
-    fn run_lines<W: Word>(
+    fn run_lines(
         &self,
         faults: &FaultList,
         seq: &TestSequence,
@@ -1116,9 +987,9 @@ impl<'c> FaultSim<'c> {
     ) -> Vec<Vec<NetId>> {
         let num_dffs = self.circuit.num_dffs();
         let num_nets = self.circuit.num_nets();
-        let batches = self.make_batches::<W>(faults);
+        let batches = self.make_batches(faults);
         let n_jobs = batches.len();
-        let jobs: Vec<(usize, Batch<W>)> = batches.into_iter().enumerate().collect();
+        let jobs: Vec<(usize, Batch)> = batches.into_iter().enumerate().collect();
         // Per batch: (fault index, observable lines) pairs + stats.
         type BatchLines = (Vec<(usize, Vec<NetId>)>, BatchStats);
         let per_batch: Vec<BatchLines> = self.scatter(jobs, |(bi, batch), scratch| {
@@ -1127,7 +998,7 @@ impl<'c> FaultSim<'c> {
                 // Accumulated difference mask per net. Only dirty nets
                 // can differ from the good machine, so the sink visits
                 // just those.
-                let mut acc = vec![W::ZERO; num_nets];
+                let mut acc = vec![0; num_nets];
                 let (_, stats) = self.run_one(
                     reference,
                     &batch.plan.sched,
@@ -1138,14 +1009,14 @@ impl<'c> FaultSim<'c> {
                     period,
                     &mut ff,
                     scratch,
-                    |_, ctx: &CycleCtx<W>| {
+                    |_, ctx: &CycleCtx| {
                         // A retired machine's planes go stale, but every
                         // line it can still show was shown in the period
                         // before its retirement.
                         for &n in ctx.dirty_nets {
                             acc[n as usize] |= ctx.nets[n as usize].diff_from_good() & ctx.live;
                         }
-                        (W::ZERO, false)
+                        (0, false)
                     },
                 );
                 let lines = batch
@@ -1154,11 +1025,11 @@ impl<'c> FaultSim<'c> {
                     .iter()
                     .enumerate()
                     .map(|(k, &gi)| {
-                        let bit = W::bit(k + 1);
+                        let bit = 1u64 << (k + 1);
                         let lines = acc
                             .iter()
                             .enumerate()
-                            .filter(|&(_, &mask)| !(mask & bit).is_zero())
+                            .filter(|&(_, &mask)| (mask & bit) != 0)
                             .map(|(n, _)| NetId::from_index(n))
                             .collect();
                         (gi, lines)
@@ -1201,31 +1072,20 @@ impl<'c> FaultSim<'c> {
         let (trace, _) = self.good_trace(seq, &state.good_ff);
         let trace = &trace;
         let prev0 = state.prev_nets.as_deref();
-        with_lanes!(&state.lanes, l => self.sample_lanes(l, sample, seq, trace, prev0))
-    }
-
-    fn sample_lanes<W: Word>(
-        &self,
-        lanes: &Lanes<W>,
-        sample: &[usize],
-        seq: &TestSequence,
-        trace: &GoodTrace,
-        prev0: Option<&[Logic3]>,
-    ) -> bool {
         // Only batches carrying a live sampled fault need simulating.
-        let jobs: Vec<(usize, W)> = lanes
+        let jobs: Vec<(usize, u64)> = state
             .batches
             .iter()
             .enumerate()
             .filter_map(|(bi, batch)| {
-                let mut wanted = W::ZERO;
+                let mut wanted = 0;
                 for &gi in sample {
                     if let Some(bit) = batch.bit_of(gi) {
                         wanted |= bit;
                     }
                 }
                 wanted &= batch.live;
-                (!wanted.is_zero()).then_some((bi, wanted))
+                (wanted != 0).then_some((bi, wanted))
             })
             .collect();
         let found = AtomicBool::new(false);
@@ -1234,8 +1094,8 @@ impl<'c> FaultSim<'c> {
                 return (false, 0, 1);
             }
             self.run_isolated(bi, scratch, |reference, scratch| {
-                let batch = &lanes.batches[bi];
-                let mut ff = lanes.ff[bi].clone();
+                let batch = &state.batches[bi];
+                let mut ff = state.ff[bi].clone();
                 let mut hit = false;
                 let mut cancelled = 0usize;
                 let (_, stats) = self.run_one(
@@ -1248,17 +1108,17 @@ impl<'c> FaultSim<'c> {
                     None,
                     &mut ff,
                     scratch,
-                    |_, ctx: &CycleCtx<W>| {
+                    |_, ctx: &CycleCtx| {
                         if found.load(Ordering::Relaxed) {
                             cancelled = 1;
-                            return (W::ZERO, true);
+                            return (0, true);
                         }
-                        if !(ctx.obs_diff & wanted).is_zero() {
+                        if (ctx.obs_diff & wanted) != 0 {
                             hit = true;
                             found.store(true, Ordering::Relaxed);
-                            return (W::ZERO, true);
+                            return (0, true);
                         }
-                        (W::ZERO, false)
+                        (0, false)
                     },
                 );
                 (hit, stats.cycles, cancelled)
@@ -1382,9 +1242,7 @@ impl<'q, 'c> Query<'q, 'c> {
     /// it.
     pub fn detection_times(self) -> Vec<Option<usize>> {
         let (seq, period, trace) = self.resolve();
-        with_word!(self.sim.options.word_width, W => {
-            self.sim.run_dense::<W>(self.faults, seq, period, &trace)
-        })
+        self.sim.run_dense(self.faults, seq, period, &trace)
     }
 
     /// A detected flag per fault.
@@ -1423,9 +1281,7 @@ impl<'q, 'c> Query<'q, 'c> {
     /// a detection cancels the others through a shared flag.
     pub fn any(self) -> bool {
         let (seq, period, trace) = self.resolve();
-        with_word!(self.sim.options.word_width, W => {
-            self.sim.run_screen::<W>(self.faults, seq, period, &trace)
-        })
+        self.sim.run_screen(self.faults, seq, period, &trace)
     }
 
     /// Per-fault observation-point candidate sets `OP(f)`: the nets on
@@ -1434,9 +1290,7 @@ impl<'q, 'c> Query<'q, 'c> {
     /// by observing any of these lines.
     pub fn observable_lines(self) -> Vec<Vec<NetId>> {
         let (seq, period, trace) = self.resolve();
-        with_word!(self.sim.options.word_width, W => {
-            self.sim.run_lines::<W>(self.faults, seq, period, &trace)
-        })
+        self.sim.run_lines(self.faults, seq, period, &trace)
     }
 }
 
@@ -1465,9 +1319,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Reports every set bit of `detected_now` as its global fault index.
 #[inline]
-fn collect_hits<W: Word>(fault_indices: &[usize], detected_now: W, mut report: impl FnMut(usize)) {
+fn collect_hits(fault_indices: &[usize], detected_now: u64, mut report: impl FnMut(usize)) {
     for (k, &gi) in fault_indices.iter().enumerate() {
-        if detected_now.test(k + 1) {
+        if detected_now >> (k + 1) & 1 != 0 {
             report(gi);
         }
     }
@@ -2032,95 +1886,10 @@ mod tests {
             {
                 assert_eq!(mask_a, mask_b);
                 for (k, (&(o_a, z_a), &(o_b, z_b))) in ff_a.iter().zip(&ff_b).enumerate() {
-                    for limb in 0..4 {
-                        let m = mask_a[limb];
-                        assert_eq!(o_a[limb] & m, o_b[limb] & m, "dff {k} ones limb {limb}");
-                        assert_eq!(z_a[limb] & m, z_b[limb] & m, "dff {k} zeros limb {limb}");
-                    }
+                    assert_eq!(o_a & mask_a, o_b & mask_a, "dff {k} ones");
+                    assert_eq!(z_a & mask_a, z_b & mask_a, "dff {k} zeros");
                 }
             }
-        }
-    }
-
-    /// The non-default word widths compiled into this build.
-    fn wide_widths() -> Vec<WordWidth> {
-        #[allow(unused_mut)]
-        let mut widths = vec![WordWidth::W128];
-        #[cfg(feature = "w256")]
-        widths.push(WordWidth::W256);
-        widths
-    }
-
-    /// Every query observable is width-invariant: detection times, the
-    /// observable-line sets and the screen verdict agree between 64-bit
-    /// planes and every wider lane, at one and several threads.
-    #[test]
-    fn word_widths_agree_on_multi_batch_circuit() {
-        let (c, faults) = multi_batch();
-        let seq = walk_sequence(48);
-        let base = FaultSim::with_options(&c, SimOptions::with_threads(1));
-        let expect_times = base.query(&faults).sequence(&seq).detection_times();
-        let expect_lines = base.query(&faults).sequence(&seq).observable_lines();
-        let expect_any = base.query(&faults).sequence(&seq).any();
-        for width in wide_widths() {
-            for threads in [1usize, 4] {
-                let sim =
-                    FaultSim::with_options(&c, SimOptions::with_threads(threads).word_width(width));
-                assert_eq!(
-                    sim.query(&faults).sequence(&seq).detection_times(),
-                    expect_times,
-                    "width {width:?} threads {threads}"
-                );
-                assert_eq!(
-                    sim.query(&faults).sequence(&seq).observable_lines(),
-                    expect_lines,
-                    "width {width:?} threads {threads}"
-                );
-                assert_eq!(
-                    sim.query(&faults).sequence(&seq).any(),
-                    expect_any,
-                    "width {width:?} threads {threads}"
-                );
-            }
-        }
-    }
-
-    /// Incremental simulation at a wide word matches the 64-bit run
-    /// machine by machine: detected flags after every segment, and the
-    /// per-fault flip-flop state of every live fault — even though the
-    /// batch partitioning differs (63 vs. 127+ faults per batch).
-    #[test]
-    fn incremental_state_matches_across_word_widths() {
-        let (c, faults) = multi_batch();
-        let seq = walk_sequence(36);
-        let narrow = FaultSim::with_options(&c, SimOptions::with_threads(1));
-        for width in wide_widths() {
-            let wide = FaultSim::with_options(&c, SimOptions::with_threads(1).word_width(width));
-            let mut st_n = narrow.begin(&faults);
-            let mut st_w = wide.begin(&faults);
-            for cut in [12usize, 24, 36] {
-                let part = seq.slice(cut - 12..cut);
-                assert_eq!(
-                    narrow.advance(&mut st_n, &part),
-                    wide.advance(&mut st_w, &part),
-                    "width {width:?} cut {cut}"
-                );
-                assert_eq!(st_n.detected(), st_w.detected());
-                for gi in 0..faults.len() {
-                    assert_eq!(
-                        st_n.debug_fault_ff(gi),
-                        st_w.debug_fault_ff(gi),
-                        "fault {gi} width {width:?} cut {cut}"
-                    );
-                }
-            }
-            // A wide state handed to the narrow simulator still
-            // advances correctly: states are width-portable.
-            let mut st_x = wide.begin(&faults);
-            narrow.advance(&mut st_x, &seq);
-            let mut st_full = narrow.begin(&faults);
-            narrow.advance(&mut st_full, &seq);
-            assert_eq!(st_x.detected(), st_full.detected());
         }
     }
 

@@ -8,9 +8,8 @@
 //! * [`LogicSim`] — good-machine (fault-free) simulation from the all-`X`
 //!   initial state, with optional full-trace recording;
 //! * [`FaultSim`] — a parallel-fault sequential fault simulator that
-//!   evaluates `W::BITS - 1` faulty machines plus the fault-free machine
-//!   per plane word (63 at the default [`WordWidth::W64`], 127 at
-//!   [`WordWidth::W128`]), using a two-bit-plane encoding of
+//!   evaluates 63 faulty machines plus the fault-free machine per
+//!   64-bit plane word, using a two-bit-plane encoding of
 //!   three-valued signals. It is generic over the fault model (single
 //!   stuck-at and transition-delay faults); all one-shot questions go
 //!   through the [`FaultSim::query`] builder.
@@ -58,7 +57,6 @@ pub mod run;
 pub mod runctl;
 pub mod sequence;
 pub mod vcd;
-mod word;
 
 pub use compiled::SWEEP_LANES;
 pub use error::SimError;
@@ -71,4 +69,3 @@ pub use run::RunOptions;
 pub use runctl::{Budget, CancelToken, TruncationReason};
 pub use sequence::TestSequence;
 pub use wbist_telemetry::Telemetry;
-pub use word::WordWidth;

@@ -4,7 +4,7 @@
 #
 # Usage: scripts/bench_select.sh [--circuits s1196,s5378,s35932]
 #                                [--threads N] [--t-len N] [--lg N]
-#                                [--keep-every N] [--word-width 64|128|256]
+#                                [--keep-every N]
 #                                [--fault-model stuck-at|transition]
 #                                [--reps N] [--golden]
 # Extra arguments are forwarded to the synth_bench binary. The committed

@@ -4,12 +4,10 @@
 #
 # Usage: scripts/bench_sim.sh [--circuits s1196,s5378,s35932] [--cycles N]
 #                             [--threads 1,2,4,8] [--reps N] [--kernel K]
-#                             [--word-widths 64,128,256]
 #                             [--thread-sweep] [--golden]
 # Extra arguments are forwarded to the sim_bench binary. The committed
 # BENCH_sim.json is regenerated with:
-#   scripts/bench_sim.sh --circuits s1196,s5378,s35932 --cycles 128 \
-#       --word-widths 64,128
+#   scripts/bench_sim.sh --circuits s1196,s5378,s35932 --cycles 128 --reps 3
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

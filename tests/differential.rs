@@ -10,17 +10,7 @@ use wbist::atpg::Lfsr;
 use wbist::circuits::{wide_fanin, SyntheticSpec};
 use wbist::core::{Subsequence, WeightAssignment};
 use wbist::netlist::{FaultModel, FaultUniverse, NetId};
-use wbist::sim::{
-    FaultSim, LogicSim, SerialFaultSim, SimOptions, Telemetry, TestSequence, WordWidth,
-};
-
-/// Every plane width beyond the default `u64` this build can simulate.
-fn wide_widths() -> Vec<WordWidth> {
-    #[cfg(feature = "w256")]
-    return vec![WordWidth::W128, WordWidth::W256];
-    #[cfg(not(feature = "w256"))]
-    vec![WordWidth::W128]
-}
+use wbist::sim::{FaultSim, LogicSim, SerialFaultSim, SimOptions, Telemetry, TestSequence};
 
 proptest! {
     /// `compiled == reference` for both fault models on circuits whose
@@ -84,7 +74,7 @@ proptest! {
 
     /// Gates of five to nine inputs, whose good machine the sweep lowers
     /// to record chains, agree with the serial oracle on every stem and
-    /// pin fault, for both models, at both plane widths.
+    /// pin fault, for both models, at one and two threads.
     #[test]
     fn wide_gates_equal_serial_oracle_all_models(seed in any::<u64>()) {
         let c = wide_fanin("difw", 5, 4, 24, seed % 16);
@@ -97,64 +87,15 @@ proptest! {
                 .iter()
                 .map(|&f| oracle.detection_time(f, &seq))
                 .collect();
-            for width in [WordWidth::W64, WordWidth::W128] {
-                let sim = FaultSim::with_options(&c, SimOptions::with_threads(1).word_width(width));
+            for threads in [1, 2] {
+                let sim = FaultSim::with_options(&c, SimOptions::with_threads(threads));
                 prop_assert_eq!(
                     sim.query(&faults).sequence(&seq).detection_times(),
                     expect.clone(),
-                    "{:?} vs serial oracle at {:?}",
+                    "{:?} vs serial oracle at {} threads",
                     model,
-                    width
+                    threads
                 );
-            }
-        }
-    }
-
-    /// Wider plane words are a pure repacking of the same machines:
-    /// detection times, incremental detection flags and the per-fault
-    /// flip-flop planes at `u128` (and the 256-bit lane when compiled
-    /// in) are bit-identical to the `u64` baseline, on both kernels and
-    /// both fault models.
-    #[test]
-    fn word_widths_are_bit_identical(seed in any::<u64>()) {
-        let c = SyntheticSpec::new("difw", 6, 4, 5, 60, seed % 16).build();
-        let seq = Lfsr::new(23, (seed % 4000) as u32 + 29).sequence(6, 40);
-        for model in FaultModel::ALL {
-            let faults = FaultUniverse::enumerate(model, &c);
-            prop_assert!(faults.len() > 63, "fault list must span u64 batches");
-            for reference in [false, true] {
-                let narrow = FaultSim::with_options(
-                    &c,
-                    SimOptions::with_threads(1).reference_kernel(reference),
-                );
-                let times = narrow.query(&faults).sequence(&seq).detection_times();
-                let mut nst = narrow.begin(&faults);
-                narrow.advance(&mut nst, &seq);
-                for width in wide_widths() {
-                    let wide = FaultSim::with_options(
-                        &c,
-                        SimOptions::with_threads(1)
-                            .word_width(width)
-                            .reference_kernel(reference),
-                    );
-                    prop_assert_eq!(
-                        wide.query(&faults).sequence(&seq).detection_times(),
-                        times.clone(),
-                        "{:?} detection times diverge at {:?}, reference={}",
-                        model, width, reference
-                    );
-                    let mut wst = wide.begin(&faults);
-                    wide.advance(&mut wst, &seq);
-                    prop_assert_eq!(wst.detected(), nst.detected());
-                    for f in 0..faults.len() {
-                        prop_assert_eq!(
-                            wst.debug_fault_ff(f),
-                            nst.debug_fault_ff(f),
-                            "fault {} FF planes diverge at {:?}",
-                            f, width
-                        );
-                    }
-                }
             }
         }
     }
@@ -180,8 +121,8 @@ proptest! {
     /// batches share only their immutable plans, so advancing the clone
     /// over another sequence leaves the original's detected flags,
     /// elapsed time, flip-flop planes and next `advance` result exactly
-    /// as if the clone had never existed — for both fault models at
-    /// every compiled word width.
+    /// as if the clone had never existed — for both fault models at one
+    /// and two threads.
     #[test]
     fn state_clones_advance_independently(seed in any::<u64>(), cut in 1usize..31) {
         let c = SyntheticSpec::new("difk", 6, 4, 5, 60, seed % 16).build();
@@ -190,8 +131,8 @@ proptest! {
         for model in FaultModel::ALL {
             let faults = FaultUniverse::enumerate(model, &c);
             prop_assert!(faults.len() > 63, "fault list must span batches");
-            for width in std::iter::once(WordWidth::W64).chain(wide_widths()) {
-                let sim = FaultSim::with_options(&c, SimOptions::with_threads(1).word_width(width));
+            for threads in [1, 2] {
+                let sim = FaultSim::with_options(&c, SimOptions::with_threads(threads));
                 let head = seq.slice(0..cut);
                 let mut untouched = sim.begin(&faults);
                 sim.advance(&mut untouched, &head);
@@ -199,11 +140,11 @@ proptest! {
                 sim.advance(&mut st, &head);
                 let mut clone = st.clone();
                 sim.advance(&mut clone, &other);
-                prop_assert_eq!(st.detected(), untouched.detected(), "{:?} {:?}", model, width);
+                prop_assert_eq!(st.detected(), untouched.detected(), "{:?} at {} threads", model, threads);
                 prop_assert_eq!(st.elapsed(), cut);
                 let rest = seq.slice(cut..seq.len());
                 let newly = sim.advance(&mut st, &rest);
-                prop_assert_eq!(newly, sim.advance(&mut untouched, &rest), "{:?} {:?}", model, width);
+                prop_assert_eq!(newly, sim.advance(&mut untouched, &rest), "{:?} at {} threads", model, threads);
                 prop_assert_eq!(st.detected(), untouched.detected());
                 prop_assert_eq!(st.elapsed(), seq.len());
                 for f in 0..faults.len() {
@@ -238,21 +179,13 @@ fn periodic_sequences(inputs: usize, period: usize, len: usize, seed: u64) -> [T
     [repeated, WeightAssignment::new(subs).generate(len)]
 }
 
-/// Every `(width, threads)` pair the periodic-sequence tests run.
-fn width_thread_grid() -> Vec<(WordWidth, usize)> {
-    std::iter::once(WordWidth::W64)
-        .chain(wide_widths())
-        .flat_map(|w| [(w, 1), (w, 2)])
-        .collect()
-}
-
 proptest! {
     /// On periodic sequences, where the compiled kernel retires
     /// machines whose state repeats at the input period, every one-shot
     /// query still equals the full-length oracles: detection times,
     /// detected flags and `any` the serial scalar simulator, observable
     /// lines the reference kernel. `sim.fault_cycles`, which retirement
-    /// shortens, is the same at every width and thread count.
+    /// shortens, is the same at every thread count.
     #[test]
     fn periodic_sequences_equal_full_length_oracles(
         seed in any::<u64>(),
@@ -270,14 +203,11 @@ proptest! {
                     faults.faults().iter().map(|&f| serial.detection_time(f, &seq)).collect();
                 let lines = reference.query(&faults).sequence(&seq).observable_lines();
                 let mut fault_cycles = None;
-                for (width, threads) in width_thread_grid() {
+                for threads in [1, 2] {
                     let tel = Telemetry::enabled();
-                    let sim = FaultSim::with_options(
-                        &c,
-                        SimOptions::with_threads(threads).word_width(width),
-                    )
-                    .telemetry(tel.clone());
-                    let label = format!("{model:?} period {period} at {width:?}, {threads} threads");
+                    let sim = FaultSim::with_options(&c, SimOptions::with_threads(threads))
+                        .telemetry(tel.clone());
+                    let label = format!("{model:?} period {period} at {threads} threads");
                     let prep = &sim.prepare_sequences(std::slice::from_ref(&seq))[0];
                     prop_assert_eq!(
                         sim.query(&faults).prepared(prep).detection_times(),

@@ -14,7 +14,7 @@ use wbist::core::{
     TruncationReason,
 };
 use wbist::netlist::FaultList;
-use wbist::sim::{FaultSim, SimOptions, WordWidth};
+use wbist::sim::{FaultSim, SimOptions};
 
 /// Sequence length of the deterministic sequence `T` driving synthesis.
 const T_LEN: usize = 48;
@@ -120,67 +120,6 @@ fn s1196_interrupt_resume_is_bit_identical() {
 #[test]
 fn s5378_interrupt_resume_is_bit_identical() {
     interrupt_resume_roundtrip("s5378", 120);
-}
-
-/// Checkpoints are portable across fault-plane word widths (the width
-/// is excluded from the config hash): a run cut at one width resumes at
-/// the other to the uninterrupted 64-bit result. The counters are not
-/// compared — batch partitioning, and with it `sim.batches` and the
-/// gate figures, legitimately tracks the width.
-#[test]
-fn s1196_checkpoints_are_portable_across_widths() {
-    let c = benchmark("s1196");
-    let faults = FaultList::checkpoints(&c);
-    let t = lfsr_sequence(&c, T_LEN);
-    let pre = subsampled_targets(faults.len(), 20);
-    let at = |ww: WordWidth| {
-        let mut run = RunOptions::default();
-        run.sim.word_width = ww;
-        SynthesisConfig {
-            sequence_length: L_G,
-            run,
-            ..SynthesisConfig::default()
-        }
-    };
-    // The uncut run's budget spend: half of it cuts the run wherever
-    // the simulator's cost lands.
-    let token = CancelToken::for_budget(&Budget::default().fault_cycles(u64::MAX / 2));
-    let mut measured = at(WordWidth::W64);
-    measured.run = measured.run.cancel(token.clone());
-    let full = Synthesis::new(&c, &t, &faults)
-        .config(measured)
-        .already_detected(&pre)
-        .run();
-    let budget = token.fault_cycles_spent() / 2;
-    let dir = scratch_dir("interrupt-resume-word-width");
-    for (cut_ww, resume_ww) in [
-        (WordWidth::W128, WordWidth::W64),
-        (WordWidth::W64, WordWidth::W128),
-    ] {
-        let ckpt = dir.join(format!("cut-{}.ckpt", cut_ww.bits()));
-        let cut = Synthesis::new(&c, &t, &faults)
-            .config(at(cut_ww))
-            .already_detected(&pre)
-            .run_controlled(
-                &RunControl::default()
-                    .budget(Budget::default().fault_cycles(budget))
-                    .checkpoint(&ckpt),
-            );
-        assert!(cut.is_truncated(), "the budget must cut the run");
-        let resumed = Synthesis::new(&c, &t, &faults)
-            .config(at(resume_ww))
-            .already_detected(&pre)
-            .resume_from(load_checkpoint(&ckpt))
-            .expect("the word width is excluded from the config hash")
-            .run_controlled(&RunControl::default());
-        assert!(!resumed.is_truncated(), "resume must complete");
-        let resumed = resumed.into_result();
-        let label = format!("cut at {cut_ww:?}, resumed at {resume_ww:?}");
-        assert_eq!(resumed.omega, full.omega, "{label}: Ω");
-        assert_eq!(resumed.detected, full.detected, "{label}: detected");
-        assert_eq!(resumed.abandoned, full.abandoned, "{label}: abandoned");
-        std::fs::remove_file(&ckpt).ok();
-    }
 }
 
 /// Cooperative cancellation inside the simulation kernel on s5378: a
