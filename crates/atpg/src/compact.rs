@@ -12,10 +12,21 @@
 //! in front of the window are always the pass's starting rows. Each pass
 //! therefore simulates its starting sequence once, keeping a
 //! [`FaultSimState`] snapshot at every block start a trial can use, and
-//! a trial resumes from the snapshot at its window and simulates only
-//! the rows after the omitted block. Simulation is a deterministic
-//! function of the applied rows, so every trial reaches the verdict a
-//! from-scratch simulation of the shortened sequence would.
+//! a trial resumes from the snapshot at its window.
+//!
+//! A trial that omits rows `[s, e)` of the current sequence `C` then
+//! applies `C`'s rows from `e` on, exactly the rows `C`'s own run
+//! applies from `e`. So the trial advances side by side with a *base*
+//! run, `C`'s state at `e`, and every 8 rows (`CONVERGE_STEP`) retires
+//! the machines whose state matches the base's while the fault-free
+//! states match too ([`FaultSimState::retire_converged`]). Such a
+//! machine has the same future in both runs: the trial detects it iff
+//! `C` does, which the detected flags `D_C` of `C` answer. The trial
+//! stops once no machine is left undecided, or as soon as it can no
+//! longer reach the target. Simulation is a deterministic function of
+//! the applied rows, so every trial reaches the verdict a from-scratch
+//! simulation of the shortened sequence would, and a kept trial's flags
+//! are `C`'s next `D_C`.
 
 use wbist_netlist::{Circuit, FaultList};
 use wbist_sim::{FaultSim, FaultSimState, TestSequence};
@@ -25,6 +36,10 @@ use wbist_sim::{FaultSim, FaultSimState, TestSequence};
 /// between two kept starts first re-simulates the rows from the nearest
 /// earlier one.
 const SNAPSHOT_BUDGET: usize = 1 << 20;
+
+/// Rows a trial and its base run advance between two convergence
+/// checks.
+const CONVERGE_STEP: usize = 8;
 
 /// Configuration for [`compact`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,9 +89,11 @@ pub fn compact_with_snapshot_budget(
     budget: usize,
 ) -> TestSequence {
     let sim = FaultSim::new(circuit);
-    let target = sim.query(faults).sequence(sequence).count();
     let mut current = sequence.clone();
     let mut trials = 0usize;
+    // `D_C`, the detected flags of `current`, and the detection count
+    // every trial must keep: both from the first pass's capture run.
+    let mut detected: Option<(Vec<bool>, usize)> = None;
 
     for &bs in &config.block_sizes {
         if bs == 0 || current.len() <= bs {
@@ -89,7 +106,15 @@ pub fn compact_with_snapshot_budget(
         // the remaining trials can reach are `len − k·bs` (clamped at 0).
         let first = current.len() - bs;
         let lowest = first.saturating_sub((config.max_trials - trials - 1).saturating_mul(bs));
-        let snapshots = Snapshots::capture(&sim, faults, &current, bs, lowest, budget);
+        let (snapshots, mut state) = Snapshots::capture(&sim, faults, &current, bs, lowest, budget);
+        let (d_c, target) = detected.get_or_insert_with(|| {
+            let rest = current.slice(state.elapsed()..current.len());
+            sim.advance(&mut state, &rest);
+            (state.detected().to_vec(), state.num_detected())
+        });
+        // Rows at and above `changed` differ from the pass's starting
+        // sequence: the lowest start a trial of this pass kept.
+        let mut changed = current.len();
         let mut start = first;
         loop {
             if trials >= config.max_trials {
@@ -100,8 +125,12 @@ pub fn compact_with_snapshot_budget(
             }
             let end = (start + bs).min(current.len());
             trials += 1;
-            if snapshots.trial_keeps(&sim, &current, start, end, target) {
+            if let Some(kept) =
+                snapshots.trial(&sim, &current, start, end, end <= changed, d_c, *target)
+            {
+                *d_c = kept;
                 current = current.without_rows(&(start..end).collect::<Vec<_>>());
+                changed = start;
                 // The window now covers fresh rows; stay at the same start
                 // unless it ran off the end.
                 if start < current.len() {
@@ -128,7 +157,8 @@ impl Snapshots {
     /// `seq.len() − bs`, keeping the state at the starts `seq.len() −
     /// k·bs` (clamped at 0) that are not below `lowest`. When they would
     /// exceed `budget` bytes, only every k-th of them is kept, the
-    /// lowest always.
+    /// lowest always. Also returns the run's state at the highest kept
+    /// start.
     fn capture(
         sim: &FaultSim<'_>,
         faults: &FaultList,
@@ -136,7 +166,7 @@ impl Snapshots {
         bs: usize,
         lowest: usize,
         budget: usize,
-    ) -> Snapshots {
+    ) -> (Snapshots, FaultSimState) {
         let mut starts: Vec<usize> = (1..)
             .map(|k| seq.len().saturating_sub(k * bs))
             .take_while(|&s| s > lowest)
@@ -153,30 +183,88 @@ impl Snapshots {
             at = s;
             states.push((s, state.clone()));
         }
-        Snapshots { states }
+        (Snapshots { states }, state)
     }
 
-    /// Whether omitting rows `[start, end)` of `seq` keeps at least
-    /// `target` detections. Rows `[0, start)` of `seq` must equal those
+    /// The state of `seq` at row `at`, re-simulated from the nearest
+    /// snapshot at or below it. Rows `[0, at)` of `seq` must equal those
     /// of the sequence the snapshots were captured from.
-    fn trial_keeps(
+    fn state_at(&self, sim: &FaultSim<'_>, seq: &TestSequence, at: usize) -> FaultSimState {
+        let i = self.states.partition_point(|&(s, _)| s <= at) - 1;
+        let (from, snapshot) = &self.states[i];
+        let mut state = snapshot.clone();
+        sim.advance(&mut state, &seq.slice(*from..at));
+        state
+    }
+
+    /// Whether omitting rows `[start, end)` of the current sequence
+    /// `seq` keeps at least `target` detections: `Some` with the
+    /// shortened sequence's detected flags if so. `d_c` holds `seq`'s
+    /// detected flags. Rows `[0, start)` of `seq` must equal those of
+    /// the sequence the snapshots were captured from, and rows
+    /// `[0, end)` too when `end_unchanged` is set.
+    #[allow(clippy::too_many_arguments)]
+    fn trial(
         &self,
         sim: &FaultSim<'_>,
         seq: &TestSequence,
         start: usize,
         end: usize,
+        end_unchanged: bool,
+        d_c: &[bool],
         target: usize,
-    ) -> bool {
-        let i = self.states.partition_point(|&(s, _)| s <= start) - 1;
-        let (at, base) = &self.states[i];
-        if base.num_detected() >= target {
-            return true;
+    ) -> Option<Vec<bool>> {
+        let mut trial = self.state_at(sim, seq, start);
+        // `seq`'s state at `end`: a snapshot when one sits there and
+        // the rows below it are the captured ones, else the trial state
+        // advanced over the omitted rows. None at the tail, where the
+        // trial has no rows left to run.
+        let mut base = (end < seq.len()).then(|| {
+            let i = self.states.partition_point(|&(s, _)| s < end);
+            match self.states.get(i) {
+                Some((s, state)) if *s == end && end_unchanged => state.clone(),
+                _ => {
+                    let mut state = trial.clone();
+                    sim.advance(&mut state, &seq.slice(start..end));
+                    state
+                }
+            }
+        });
+        // Retired machines that `seq` detects: the trial detects them too.
+        let mut resolved = Vec::new();
+        let mut at = end;
+        loop {
+            if let Some(b) = base.as_mut() {
+                let retired = trial.retire_converged(b);
+                resolved.extend(retired.into_iter().filter(|&gi| d_c[gi]));
+                if b.num_live() == 0 {
+                    // Nothing left that a later check could retire.
+                    sim.advance(&mut trial, &seq.slice(at..seq.len()));
+                    at = seq.len();
+                    base = None;
+                }
+            }
+            let live = trial.num_live();
+            if trial.num_detected() + resolved.len() + live < target {
+                return None;
+            }
+            if live == 0 || at == seq.len() {
+                break;
+            }
+            let rows = seq.slice(at..(at + CONVERGE_STEP).min(seq.len()));
+            sim.advance(&mut trial, &rows);
+            if let Some(b) = base.as_mut() {
+                sim.advance(b, &rows);
+            }
+            at += rows.len();
         }
-        let mut rest = seq.slice(*at..start);
-        rest.append(&seq.slice(end..seq.len()));
-        let mut state = base.clone();
-        sim.advance(&mut state, &rest);
-        state.num_detected() >= target
+        (trial.num_detected() + resolved.len() >= target).then(|| {
+            let mut kept = trial.detected().to_vec();
+            for gi in resolved {
+                kept[gi] = true;
+            }
+            kept
+        })
     }
 }
 

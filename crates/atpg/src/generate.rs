@@ -14,11 +14,20 @@
 //! Candidate evaluation uses a *sample* of the undetected faults for
 //! speed; the committed block is always simulated against the full
 //! remaining fault set, so reported coverage is exact.
+//!
+//! A round draws its sample and all its candidate blocks first, then
+//! evaluates the candidates as independent tasks of the shared worker
+//! pool ([`wbist_sim::pool::scatter`]), each on a single-threaded
+//! simulator. The winner is the first candidate with the largest gain,
+//! whichever worker scored it, and simulation draws no random numbers,
+//! so the sequence is the same at every worker count.
+
+use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wbist_netlist::{Circuit, FaultList};
-use wbist_sim::{FaultSim, FaultSimState, TestSequence};
+use wbist_sim::{pool, FaultSim, FaultSimState, RunOptions, SimOptions, TestSequence};
 
 /// Configuration for [`SequenceAtpg`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +112,22 @@ impl<'c> SequenceAtpg<'c> {
 
     /// Generates a deterministic test sequence targeting `faults`.
     pub fn run(&self, faults: &FaultList) -> AtpgResult {
-        let sim = FaultSim::new(self.circuit);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_with_threads(faults, threads)
+    }
+
+    /// [`run`](Self::run) on `threads` workers, so tests can pin the
+    /// worker count. The result does not depend on it. Not part of the
+    /// public API.
+    #[doc(hidden)]
+    pub fn run_with_threads(&self, faults: &FaultList, threads: usize) -> AtpgResult {
+        let sim = FaultSim::with_options(self.circuit, SimOptions::with_threads(threads));
+        // Candidate tasks already run in parallel: each simulates its
+        // batches on one thread, sharing `sim`'s lowering.
+        let task_sim = FaultSim::with_run_options(
+            self.circuit,
+            &RunOptions::with_threads(1).compiled(sim.compiled_handle()),
+        );
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let n_inputs = self.circuit.num_inputs();
         let mut t = TestSequence::new(n_inputs);
@@ -116,24 +140,41 @@ impl<'c> SequenceAtpg<'c> {
             && stale_rounds < self.config.patience
         {
             let sample = self.pick_sample(&state, &mut rng);
-            // The best candidate so far, with its probe state when the
-            // probe ran the whole block (a sample miss skips it).
-            let mut best: Option<(usize, TestSequence, Option<FaultSimState>)> = None;
-            for ci in 0..self.config.candidates {
-                let cand = self.candidate(ci, &last_best, n_inputs, &mut rng);
-                // Fast sample evaluation; exact commit below.
-                let (gained, probe) =
-                    if sample.is_empty() || sim.sample_detects(&state, &sample, &cand) {
-                        let mut probe = state.clone();
-                        (sim.advance(&mut probe, &cand), Some(probe))
-                    } else {
-                        (0, None)
-                    };
-                if best.as_ref().is_none_or(|&(b, _, _)| gained > b) {
-                    best = Some((gained, cand, probe));
-                }
-            }
-            let (gained, block, probe) = best.expect("candidates > 0");
+            let mut candidates: Vec<TestSequence> = (0..self.config.candidates)
+                .map(|ci| self.candidate(ci, &last_best, n_inputs, &mut rng))
+                .collect();
+            // The best candidate so far as `(gain, index, probe state)`,
+            // the state present when its probe ran the whole block (a
+            // sample miss skips it). Only the best probe outlives its
+            // task.
+            let best: Mutex<Option<(usize, usize, Option<FaultSimState>)>> = Mutex::new(None);
+            pool::scatter(
+                threads.min(candidates.len()),
+                candidates.iter().enumerate().collect(),
+                || (),
+                |(ci, cand), _| {
+                    // Fast sample evaluation; exact commit below.
+                    let (gained, probe) =
+                        if sample.is_empty() || task_sim.sample_detects(&state, &sample, cand) {
+                            let mut probe = state.clone();
+                            (task_sim.advance(&mut probe, cand), Some(probe))
+                        } else {
+                            (0, None)
+                        };
+                    let mut best = best.lock().expect("no candidate task panicked");
+                    if best
+                        .as_ref()
+                        .is_none_or(|&(b, bi, _)| gained > b || (gained == b && ci < bi))
+                    {
+                        *best = Some((gained, ci, probe));
+                    }
+                },
+            );
+            let (gained, ci, probe) = best
+                .into_inner()
+                .expect("no candidate task panicked")
+                .expect("candidates > 0");
+            let block = candidates.swap_remove(ci);
             // Commit the winner even when it gains nothing: walking the
             // state space is what eventually reaches hard states. A probe
             // that ran the whole block already holds the committed state.

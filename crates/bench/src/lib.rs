@@ -115,11 +115,11 @@ pub fn run_pipeline(name: &str, circuit: Circuit, cfg: &PipelineConfig) -> Circu
     let tel = cfg.run.telemetry.clone();
     let faults = FaultList::checkpoints(&circuit);
     let atpg = {
-        let _span = tel.span("atpg");
+        let _span = tel.span("atpg.generate");
         SequenceAtpg::new(&circuit, cfg.atpg.clone()).run(&faults)
     };
     let sequence = {
-        let _span = tel.span("compact");
+        let _span = tel.span("atpg.compact");
         match &cfg.compaction {
             Some(cc) => compact(&circuit, &faults, &atpg.sequence, cc),
             None => atpg.sequence.clone(),

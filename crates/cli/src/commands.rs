@@ -42,13 +42,13 @@ pub const USAGE: &str = "usage:
       (exit 2 when resumable work was left behind)
   global options (any command):
       --threads N     simulator worker threads (default: all cores)
+      --kernel K      fault-sim kernel: compiled (default) | reference
+      --trace FILE    write a deterministic JSON telemetry trace
+      --progress      print a phase-timing summary to stderr
   fault selection (faults, atpg, sim, synth, obs, session, podem):
       --model M       fault universe: checkpoints (default) | collapsed | all
       --fault-model F fault model: stuck-at (default) | transition
                       (podem is stuck-at only)
-      --kernel K      fault-sim kernel: compiled (default) | reference
-      --trace FILE    write a deterministic JSON telemetry trace
-      --progress      print a phase-timing summary to stderr
   run control (budgets apply to any command; checkpoints to synth):
       --max-wall-secs S       stop after S seconds of wall clock
       --max-fault-cycles N    stop after N simulated fault-cycles

@@ -192,9 +192,6 @@ struct Batch {
 struct BatchPlan {
     /// Global fault indices; fault `k` of the batch occupies bit `k + 1`.
     fault_indices: Vec<usize>,
-    /// Global fault index → its bit mask, sorted by index (the inverse
-    /// of `fault_indices`, for O(log n) membership checks).
-    bit_index: Vec<(usize, u64)>,
     /// The batch's injections, flattened into topo-sorted arrays.
     sched: compiled::Schedule,
 }
@@ -202,33 +199,24 @@ struct BatchPlan {
 impl Batch {
     fn build(circuit: &Circuit, cc: &CompiledCircuit, faults: &[(usize, Fault)]) -> Batch {
         debug_assert!(faults.len() <= FAULTS_PER_BATCH);
-        let mut live = 0;
-        let mut bit_index = Vec::with_capacity(faults.len());
-        for (k, &(gi, _)) in faults.iter().enumerate() {
-            let bit = 1u64 << (k + 1);
-            bit_index.push((gi, bit));
-            live |= bit;
-        }
-        debug_assert!(bit_index.windows(2).all(|w| w[0].0 < w[1].0));
         let plan = BatchPlan {
             fault_indices: faults.iter().map(|&(i, _)| i).collect(),
-            bit_index,
             sched: compiled::Schedule::build(circuit, cc, faults),
         };
         Batch {
             plan: Arc::new(plan),
-            live,
+            live: ((1u64 << faults.len()) - 1) << 1,
         }
     }
+}
 
-    /// Bit mask (bit 1 up) of a global fault index within this batch.
-    fn bit_of(&self, global: usize) -> Option<u64> {
-        let index = &self.plan.bit_index;
-        index
-            .binary_search_by_key(&global, |&(gi, _)| gi)
-            .ok()
-            .map(|i| index[i].1)
-    }
+/// Where `FaultSim::make_batches` puts the fault at index `global` of
+/// its list: batch `global / 63`, bit `global % 63 + 1`.
+fn slot_of(global: usize) -> (usize, u64) {
+    (
+        global / FAULTS_PER_BATCH,
+        1u64 << (global % FAULTS_PER_BATCH + 1),
+    )
 }
 
 /// Per-batch flip-flop state, retained between [`FaultSim::advance`] calls.
@@ -287,6 +275,60 @@ impl FaultSimState {
             + self.detected.len() * size_of::<bool>()
     }
 
+    /// Number of machines still live: neither detected nor retired.
+    pub fn num_live(&self) -> usize {
+        self.batches
+            .iter()
+            .map(|b| b.live.count_ones() as usize)
+            .sum()
+    }
+
+    /// Retires the machines whose future `base` already decides, and
+    /// returns their fault indices, ascending.
+    ///
+    /// `self` and `base` are two runs of one fault list that receive the
+    /// same rows from here on. When their fault-free states match — the
+    /// flip-flops, and for transition faults also the fault-free net
+    /// values of the last cycle, which a launch reads — a machine live
+    /// in both whose flip-flop state is the same in both has, by
+    /// determinism, the same future in both: `self` detects it later
+    /// iff `base` does. Such machines leave `self`'s live set without a
+    /// detection. Then `base` drops every machine no longer live in
+    /// `self`, so it only carries machines a later call can still
+    /// resolve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two states were not begun from one
+    /// [`FaultSim::begin`] call (they must share its batch plans).
+    pub fn retire_converged(&mut self, base: &mut FaultSimState) -> Vec<usize> {
+        assert!(
+            self.batches.len() == base.batches.len()
+                && self
+                    .batches
+                    .iter()
+                    .zip(&base.batches)
+                    .all(|(a, b)| Arc::ptr_eq(&a.plan, &b.plan)),
+            "retire_converged needs two states of one FaultSim::begin call"
+        );
+        let mut resolved = Vec::new();
+        let converged = self.good_ff == base.good_ff && self.prev_nets == base.prev_nets;
+        for (bi, (a, b)) in self.batches.iter_mut().zip(&mut base.batches).enumerate() {
+            let both = a.live & b.live;
+            if converged && both != 0 {
+                let differ = self.ff[bi]
+                    .iter()
+                    .zip(&base.ff[bi])
+                    .fold(0, |m, (p, q)| m | (p.ones ^ q.ones) | (p.zeros ^ q.zeros));
+                let same = both & !differ;
+                collect_hits(&a.plan.fault_indices, same, |gi| resolved.push(gi));
+                a.live &= !same;
+            }
+            b.live &= a.live;
+        }
+        resolved
+    }
+
     /// Raw per-batch flip-flop planes for differential tests: one entry
     /// per batch of `(live-or-good mask, per-DFF (ones, zeros))`. Planes
     /// are only meaningful on the masked bits — the compiled kernel
@@ -307,14 +349,11 @@ impl FaultSimState {
     /// API.
     #[doc(hidden)]
     pub fn debug_fault_ff(&self, global: usize) -> Option<Vec<Logic3>> {
-        let (b, ff, bit) = self
-            .batches
-            .iter()
-            .zip(&self.ff)
-            .find_map(|(b, ff)| Some((b, ff, b.bit_of(global)?)))?;
-        if b.live & bit == 0 {
+        let (bi, bit) = slot_of(global);
+        if self.batches.get(bi)?.live & bit == 0 {
             return None;
         }
+        let ff = &self.ff[bi];
         Some(
             ff.iter()
                 .map(|p| {
@@ -523,6 +562,10 @@ impl<'c> FaultSim<'c> {
         );
     }
 
+    /// Cuts `faults` into batches in list order: the fault at index `gi`
+    /// is bit `gi % 63 + 1` of batch `gi / 63` (`slot_of`), so every
+    /// batch but the last is full and finding a fault's machine is
+    /// arithmetic, not a search.
     fn make_batches(&self, faults: &FaultList) -> Vec<Batch> {
         let indexed: Vec<(usize, Fault)> = faults.iter().copied().enumerate().collect();
         indexed
@@ -1073,18 +1116,14 @@ impl<'c> FaultSim<'c> {
         let trace = &trace;
         let prev0 = state.prev_nets.as_deref();
         // Only batches carrying a live sampled fault need simulating.
-        let jobs: Vec<(usize, u64)> = state
-            .batches
-            .iter()
-            .enumerate()
-            .filter_map(|(bi, batch)| {
-                let mut wanted = 0;
-                for &gi in sample {
-                    if let Some(bit) = batch.bit_of(gi) {
-                        wanted |= bit;
-                    }
-                }
-                wanted &= batch.live;
+        let mut slots: Vec<(usize, u64)> = sample.iter().map(|&gi| slot_of(gi)).collect();
+        slots.sort_unstable_by_key(|&(bi, _)| bi);
+        let jobs: Vec<(usize, u64)> = slots
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|run| {
+                let bi = run[0].0;
+                let live = state.batches.get(bi).map_or(0, |b| b.live);
+                let wanted = run.iter().fold(0, |m, &(_, bit)| m | bit) & live;
                 (wanted != 0).then_some((bi, wanted))
             })
             .collect();
@@ -1954,5 +1993,96 @@ mod tests {
         );
         assert_eq!(raw_tel.effort("sim.good_sweeps"), 2 * seqs.len() as u64);
         assert!(sim.prepare_sequences(&[]).is_empty());
+    }
+
+    /// `y = AND(a, q)` with `q = DFF(b)`: `q` ignores `a`, so two runs
+    /// can reach one flip-flop state through different `a` values.
+    fn and_of_stored() -> Circuit {
+        bench_format::parse(
+            "andq",
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(b)\ny = AND(a, q)\n",
+        )
+        .unwrap()
+    }
+
+    /// Runs `rows` (columns `a b`) from `reset`, then one row more, and
+    /// returns the state before that row and the flags after it.
+    fn run_then(
+        sim: &FaultSim<'_>,
+        reset: &FaultSimState,
+        rows: &[&str],
+        next: &str,
+    ) -> (FaultSimState, Vec<bool>) {
+        let mut state = reset.clone();
+        sim.advance(&mut state, &TestSequence::parse_rows(rows).unwrap());
+        let mut after = state.clone();
+        sim.advance(&mut after, &TestSequence::parse_rows(&[next]).unwrap());
+        (state, after.detected().to_vec())
+    }
+
+    #[test]
+    fn retire_converged_resolves_machines_of_identical_states() {
+        let c = toy();
+        let faults = FaultList::checkpoints(&c);
+        let sim = FaultSim::new(&c);
+        let mut state = sim.begin(&faults);
+        sim.advance(
+            &mut state,
+            &TestSequence::parse_rows(&["11", "01"]).unwrap(),
+        );
+        let mut base = state.clone();
+        let live: Vec<usize> = (0..faults.len())
+            .filter(|&i| !state.detected()[i])
+            .collect();
+        assert_eq!(state.num_live(), live.len());
+        assert_eq!(state.retire_converged(&mut base), live);
+        assert_eq!((state.num_live(), base.num_live()), (0, 0));
+    }
+
+    #[test]
+    fn retire_converged_needs_matching_fault_free_flip_flops() {
+        // After `b = 0` and `b = 1` the fault-free `q` differs, while the
+        // machine with `q`'s data stuck at 1 holds 1 in both runs. Its
+        // futures differ all the same: `a = 1` exposes it only where the
+        // fault-free `q` is 0.
+        let c = and_of_stored();
+        let faults = FaultList::from_faults(vec![Fault::sa1(FaultSite::DffData(0))]);
+        let sim = FaultSim::new(&c);
+        let reset = sim.begin(&faults);
+        let (mut low, low_next) = run_then(&sim, &reset, &["00"], "10");
+        let (mut high, high_next) = run_then(&sim, &reset, &["01"], "10");
+        assert_eq!(low.debug_fault_ff(0), high.debug_fault_ff(0));
+        assert_ne!(low_next, high_next);
+        assert!(low.retire_converged(&mut high).is_empty());
+        assert_eq!(low.num_live(), 1);
+    }
+
+    #[test]
+    fn retire_converged_needs_matching_launch_values() {
+        // Both runs store `q = 1`, and the slow-to-rise machine on `a`
+        // matches it, but only the run that left `a` at 0 launches a
+        // rise on the next `a = 1`.
+        let c = and_of_stored();
+        let a = c.net_by_name("a").unwrap();
+        let faults = FaultList::from_faults(vec![Fault::slow_to_rise(FaultSite::Stem(a))]);
+        let sim = FaultSim::new(&c);
+        let reset = sim.begin(&faults);
+        let (mut low, low_next) = run_then(&sim, &reset, &["01"], "10");
+        let (mut high, high_next) = run_then(&sim, &reset, &["11"], "10");
+        assert_eq!(low.debug_fault_ff(0), high.debug_fault_ff(0));
+        assert_eq!(low_next, vec![true]);
+        assert_eq!(high_next, vec![false]);
+        assert!(low.retire_converged(&mut high).is_empty());
+        assert_eq!(low.num_live(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one FaultSim::begin call")]
+    fn retire_converged_rejects_states_of_two_begin_calls() {
+        let c = toy();
+        let faults = FaultList::checkpoints(&c);
+        let sim = FaultSim::new(&c);
+        let mut a = sim.begin(&faults);
+        a.retire_converged(&mut sim.begin(&faults));
     }
 }

@@ -1,11 +1,13 @@
 //! Static compaction resumes each trial from a snapshot of the pass's
-//! starting sequence instead of re-simulating from the all-`X` state.
-//! These proptests pin that the resumed trials reach exactly the
-//! verdicts of a from-scratch restoration oracle, so the compacted
+//! starting sequence instead of re-simulating from the all-`X` state,
+//! and decides it once its machines re-converge with the current
+//! sequence's own run. These tests pin that the trials reach exactly
+//! the verdicts of a from-scratch restoration oracle, so the compacted
 //! sequence is the same, under both fault models, for block sizes that
 //! do not divide the length, `bs = 1`, trial caps that stop a pass
-//! midway and snapshot budgets small enough to leave gaps between the
-//! kept snapshots.
+//! midway, snapshot budgets small enough to leave gaps between the kept
+//! snapshots, several keeps inside one pass and held rows on which
+//! trials re-converge.
 
 use proptest::prelude::*;
 use wbist::atpg::compact::compact_with_snapshot_budget;
@@ -126,4 +128,83 @@ fn oracle_shortens_and_keeps_coverage() {
     assert!(out.len() < seq.len());
     assert!(sim.query(&faults).sequence(&out).count() >= sim.query(&faults).sequence(&seq).count());
     assert_eq!(compact(&c, &faults, &seq, &cfg), out);
+}
+
+/// Single-pass compactions that keep at least two omissions, so a kept
+/// trial is followed by more trials of its own pass. Those read `D_C`
+/// as the keep left it and take their base state from the window
+/// instead of the pass's snapshot. Both fault models.
+#[test]
+fn kept_omissions_inside_a_pass_match_the_oracle() {
+    for model in FaultModel::ALL {
+        for seed in 0..8u64 {
+            let c = circuit(seed);
+            let faults = FaultUniverse::checkpoints(model, &c);
+            let seq = Lfsr::new(20, seed as u32 * 7 + 11).sequence(5, 40);
+            for bs in [1, 3] {
+                let cfg = CompactionConfig {
+                    block_sizes: vec![bs],
+                    max_trials: 2000,
+                };
+                let want = restoration_oracle(&c, &faults, &seq, &cfg);
+                assert!(
+                    seq.len() - want.len() >= 2 * bs,
+                    "{model:?} seed {seed} bs {bs}: fewer than two keeps"
+                );
+                assert_eq!(
+                    compact(&c, &faults, &seq, &cfg),
+                    want,
+                    "{model:?} seed {seed} bs {bs}"
+                );
+            }
+        }
+    }
+}
+
+/// 16 LFSR rows, one row held for 24 cycles, then 8 more LFSR rows.
+fn held(seed: u64) -> TestSequence {
+    let mut lfsr = Lfsr::new(20, seed as u32 * 5 + 9);
+    let mut seq = lfsr.sequence(5, 16);
+    let hold = lfsr.sequence(5, 1);
+    for _ in 0..24 {
+        seq.append(&hold);
+    }
+    seq.append(&lfsr.sequence(5, 8));
+    seq
+}
+
+/// Inside a held row the trial and its base run re-converge, so trials
+/// there are decided by retiring machines against the base, not by
+/// running them to the end: same result as the oracle.
+#[test]
+fn held_rows_reconverge_and_match_the_oracle() {
+    for model in FaultModel::ALL {
+        for seed in 0..8u64 {
+            let c = circuit(seed);
+            let faults = FaultUniverse::checkpoints(model, &c);
+            let seq = held(seed);
+            // Four rows apart inside the hold, machines already resolve.
+            let sim = FaultSim::new(&c);
+            let mut trial = sim.begin(&faults);
+            sim.advance(&mut trial, &seq.slice(0..24));
+            let mut base = trial.clone();
+            sim.advance(&mut base, &seq.slice(24..28));
+            assert!(
+                !trial.retire_converged(&mut base).is_empty(),
+                "{model:?} seed {seed}: the hold does not re-converge"
+            );
+            for block_sizes in [vec![16, 4, 1], vec![5, 1]] {
+                let cfg = CompactionConfig {
+                    block_sizes,
+                    max_trials: 2000,
+                };
+                assert_eq!(
+                    compact(&c, &faults, &seq, &cfg),
+                    restoration_oracle(&c, &faults, &seq, &cfg),
+                    "{model:?} seed {seed} {:?}",
+                    cfg.block_sizes
+                );
+            }
+        }
+    }
 }

@@ -93,7 +93,10 @@ fn s27_thread_grid_matches_reference_walk() {
 #[test]
 fn s27_word_width_grid_matches_reference_walk() {
     let (c, t, faults, base) = s27_reference();
-    assert!(faults.len() <= 63, "s27's list must fit one 64-bit plane word");
+    assert!(
+        faults.len() <= 63,
+        "s27's list must fit one 64-bit plane word"
+    );
     let reference = run_once(&c, &t, &faults, None, &base, 1);
     assert!(!reference.0.omega.is_empty());
     for threads in [1usize, 2, 4] {
